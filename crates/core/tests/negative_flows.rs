@@ -196,3 +196,35 @@ fn unsupported_op_is_a_typed_error_on_every_rung() {
         "want HwError::Unsupported, got {err:?}"
     );
 }
+
+/// `fn cmp(x: i1, y: i1) -> i1 { (x == y) < y }` — an ordered compare on
+/// booleans, which have no order.
+fn ordered_bool_cmp() -> Function {
+    let mut b = FunctionBuilder::new("cmp", &[("x", Ty::I1), ("y", Ty::I1)], Some(Ty::I1));
+    let x = b.param(0);
+    let y = b.param(1);
+    let eq = b.icmp(IntPredicate::Eq, x, y);
+    let lt = b.icmp(IntPredicate::Slt, eq, y);
+    b.ret(Some(lt));
+    b.finish_unverified()
+}
+
+#[test]
+fn ordered_icmp_on_i1_is_rejected_and_never_panics() {
+    use cgpa_sim::{run_function, HwConfig, HwError, HwSystem, InterpError, NoHooks, SimEngine};
+
+    let f = ordered_bool_cmp();
+    let err = cgpa_ir::verify::verify(&f).unwrap_err();
+    assert!(err.to_string().contains("ordered icmp slt on i1"), "{err}");
+
+    // Unverified IR still reaches the engines as a typed error.
+    let args = [Value::I1(true), Value::I1(false)];
+    let mut mem = SimMemory::new(1 << 12);
+    let err = run_function(&f, &args, &mut mem, 1_000, &mut NoHooks).unwrap_err();
+    assert!(matches!(err, InterpError::UnsupportedOp(_)), "want UnsupportedOp, got {err:?}");
+    for engine in [SimEngine::EventDriven, SimEngine::PerCycle] {
+        let cfg = HwConfig { engine, ..HwConfig::default() };
+        let err = HwSystem::for_single(&f, &args, cfg).run(&mut mem).unwrap_err();
+        assert!(matches!(err, HwError::Unsupported(_)), "{engine:?}: got {err:?}");
+    }
+}

@@ -3,7 +3,7 @@
 use crate::cfg::Cfg;
 use crate::dom::DomTree;
 use crate::function::{BlockId, Function};
-use crate::inst::{BinOp, CastKind, InstId, Op};
+use crate::inst::{BinOp, CastKind, InstId, IntPredicate, Op};
 use crate::types::Ty;
 use crate::value::ValueId;
 use std::error::Error;
@@ -223,9 +223,13 @@ fn type_check(func: &Function) -> Result<(), VerifyError> {
                     return Err(err(i, "arithmetic on i1".to_string()));
                 }
             }
-            Op::ICmp { lhs, rhs, .. } => {
+            Op::ICmp { pred, lhs, rhs } => {
                 if ty(*lhs) != ty(*rhs) || ty(*lhs).is_float() {
                     return Err(err(i, format!("icmp on {} vs {}", ty(*lhs), ty(*rhs))));
+                }
+                // Booleans only compare for (in)equality: i1 has no order.
+                if ty(*lhs) == Ty::I1 && !matches!(pred, IntPredicate::Eq | IntPredicate::Ne) {
+                    return Err(err(i, format!("ordered icmp {} on i1", pred.mnemonic())));
                 }
             }
             Op::FCmp { lhs, rhs, .. } => {
@@ -357,6 +361,20 @@ mod tests {
         b.ret(None);
         let f = b.finish_unverified();
         assert!(matches!(verify(&f), Err(VerifyError::TypeMismatch { .. })));
+    }
+
+    #[test]
+    fn ordered_icmp_on_i1_detected() {
+        let mut b = FunctionBuilder::new("f", &[("x", Ty::I1), ("y", Ty::I1)], Some(Ty::I1));
+        let x = b.param(0);
+        let y = b.param(1);
+        let eq = b.icmp(IntPredicate::Eq, x, y);
+        let lt = b.icmp(IntPredicate::Slt, eq, y);
+        b.ret(Some(lt));
+        let f = b.finish_unverified();
+        let e = verify(&f).unwrap_err();
+        assert!(matches!(e, VerifyError::TypeMismatch { .. }), "{e:?}");
+        assert!(e.to_string().contains("ordered icmp slt on i1"), "{e}");
     }
 
     #[test]

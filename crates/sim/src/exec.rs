@@ -83,10 +83,10 @@ pub fn eval_binary(op: BinOp, a: Value, b: Value) -> Result<Value, ExecError> {
 
 /// Evaluate an integer comparison (pointers compare unsigned).
 ///
-/// # Panics
-/// Panics on mismatched operand types.
-#[must_use]
-pub fn eval_icmp(pred: IntPredicate, a: Value, b: Value) -> Value {
+/// # Errors
+/// [`ExecError`] on mismatched operand types and on ordered predicates
+/// over `i1`, which has no order.
+pub fn eval_icmp(pred: IntPredicate, a: Value, b: Value) -> Result<Value, ExecError> {
     use IntPredicate as P;
     let r = match (a, b) {
         (Value::I32(x), Value::I32(y)) => match pred {
@@ -120,11 +120,13 @@ pub fn eval_icmp(pred: IntPredicate, a: Value, b: Value) -> Value {
         (Value::I1(x), Value::I1(y)) => match pred {
             P::Eq => x == y,
             P::Ne => x != y,
-            _ => panic!("ordered icmp on i1"),
+            _ => return Err(ExecError(format!("eval_icmp: ordered {pred:?} on i1"))),
         },
-        (a, b) => panic!("eval_icmp on {a:?}, {b:?}"),
+        (a, b) => {
+            return Err(ExecError(format!("eval_icmp: unsupported {pred:?} on {a:?}, {b:?}")))
+        }
     };
-    Value::I1(r)
+    Ok(Value::I1(r))
 }
 
 /// Evaluate a float comparison (ordered: NaN compares false).
@@ -233,9 +235,23 @@ mod tests {
 
     #[test]
     fn comparisons() {
-        assert_eq!(eval_icmp(IntPredicate::Slt, Value::I32(-1), Value::I32(0)), Value::I1(true));
-        assert_eq!(eval_icmp(IntPredicate::Ult, Value::I32(-1), Value::I32(0)), Value::I1(false));
-        assert_eq!(eval_icmp(IntPredicate::Eq, Value::Ptr(0), Value::Ptr(0)), Value::I1(true));
+        assert_eq!(
+            eval_icmp(IntPredicate::Slt, Value::I32(-1), Value::I32(0)),
+            Ok(Value::I1(true))
+        );
+        assert_eq!(
+            eval_icmp(IntPredicate::Ult, Value::I32(-1), Value::I32(0)),
+            Ok(Value::I1(false))
+        );
+        assert_eq!(eval_icmp(IntPredicate::Eq, Value::Ptr(0), Value::Ptr(0)), Ok(Value::I1(true)));
+        assert_eq!(
+            eval_icmp(IntPredicate::Ne, Value::I1(true), Value::I1(false)),
+            Ok(Value::I1(true))
+        );
+        // i1 has no order, and mixed widths have no comparison.
+        let e = eval_icmp(IntPredicate::Sge, Value::I1(true), Value::I1(false)).unwrap_err();
+        assert!(e.to_string().contains("on i1"), "{e}");
+        assert!(eval_icmp(IntPredicate::Eq, Value::I32(0), Value::I64(0)).is_err());
         assert_eq!(
             eval_fcmp(FloatPredicate::Olt, Value::F64(1.0), Value::F64(2.0)),
             Value::I1(true)

@@ -73,12 +73,18 @@ pub struct QueueState {
     pub elems_pushed: u64,
     /// Peak occupancy in beats over all channels.
     pub peak_beats: usize,
-    /// Time-weighted occupancy histogram per channel, filled by
-    /// [`sample_occupancy`](QueueState::sample_occupancy):
-    /// `occ_hist[c][b]` = cycles channel `c` held exactly `b` beats. The
+    /// Time-weighted occupancy histogram per channel, credited when a
+    /// channel's length changes: `occ_hist[c][b]` = cycles before
+    /// `occ_from[c]` that channel `c` ended holding exactly `b` beats. The
     /// last bucket (`depth_beats + 1`) saturates — a duplicate latch-up can
     /// exceed the nominal depth by one beat.
     occ_hist: Vec<Vec<u64>>,
+    /// First cycle per channel not yet credited to `occ_hist`; from there
+    /// up to `now` the channel has held its current length.
+    occ_from: Vec<u64>,
+    /// The simulated cycle mutations happen in (see
+    /// [`set_cycle`](QueueState::set_cycle)).
+    now: u64,
 }
 
 impl QueueState {
@@ -99,25 +105,54 @@ impl QueueState {
             elems_pushed: 0,
             peak_beats: 0,
             occ_hist: vec![vec![0; depth_beats + 2]; info.channels as usize],
+            occ_from: vec![0; info.channels as usize],
+            now: 0,
         }
     }
 
-    /// Credit `weight` cycles at each channel's current occupancy in the
-    /// time-weighted histogram. The simulator calls this once per evaluated
-    /// cycle (weight 1) and once per skipped window (weight = window
-    /// length): occupancies cannot change while every worker is blocked, so
-    /// both engines fill identical histograms.
-    pub fn sample_occupancy(&mut self, weight: u64) {
-        for (c, chan) in self.channels.iter().enumerate() {
-            let bucket = chan.len().min(self.depth_beats + 1);
-            self.occ_hist[c][bucket] += weight;
+    /// Advance the queue's clock to simulated cycle `cycle`. The simulator
+    /// calls this before it pushes or pops in that cycle, and with the
+    /// run's cycle count before reading [`stats`](QueueState::stats): every
+    /// cycle in between is credited to the histogram at the occupancy the
+    /// channel ended it with, without a per-cycle sample.
+    ///
+    /// # Panics
+    /// Panics when `cycle` is before the queue's current cycle: the
+    /// histogram only moves forward in time.
+    pub fn set_cycle(&mut self, cycle: u64) {
+        assert!(cycle >= self.now, "queue clock moved back from {} to {cycle}", self.now);
+        self.now = cycle;
+    }
+
+    /// Histogram bucket of a channel length.
+    fn bucket(&self, len: usize) -> usize {
+        len.min(self.depth_beats + 1)
+    }
+
+    /// Credit the cycles channel `c` has held its current length, up to
+    /// (not including) the current cycle. Called before every change to
+    /// the channel's length: the cycles before `now` all ended at the old
+    /// length, and the current cycle is credited with whatever length it
+    /// ends at.
+    fn credit_occupancy(&mut self, c: usize) {
+        let held = self.now - self.occ_from[c];
+        if held > 0 {
+            let bucket = self.bucket(self.channels[c].len());
+            self.occ_hist[c][bucket] += held;
+            self.occ_from[c] = self.now;
         }
     }
 
-    /// The per-channel time-weighted occupancy histograms.
+    /// The per-channel time-weighted occupancy histograms, covering every
+    /// cycle before the queue's clock (see
+    /// [`set_cycle`](QueueState::set_cycle)).
     #[must_use]
-    pub fn occupancy_hist(&self) -> &[Vec<u64>] {
-        &self.occ_hist
+    pub fn occupancy_hist(&self) -> Vec<Vec<u64>> {
+        let mut hist = self.occ_hist.clone();
+        for (c, chan) in self.channels.iter().enumerate() {
+            hist[c][self.bucket(chan.len())] += self.now - self.occ_from[c];
+        }
+        hist
     }
 
     /// Snapshot the accounting state as a [`QueueStats`] record.
@@ -131,7 +166,7 @@ impl QueueState {
             beats_popped: self.beats_popped,
             beats_dropped: self.beats_dropped,
             peak_beats: self.peak_beats as u32,
-            occupancy_hist: self.occ_hist.clone(),
+            occupancy_hist: self.occupancy_hist(),
         }
     }
 
@@ -181,6 +216,7 @@ impl QueueState {
     /// [`can_push`](QueueState::can_push) first; the hardware stalls).
     pub fn push(&mut self, c: usize, v: Value) {
         assert!(self.can_push(c), "push to full channel {c}");
+        self.credit_occupancy(c);
         let bits = v.to_bits();
         for beat in 0..self.elem_beats() {
             let data = (bits >> (32 * beat)) as u32;
@@ -217,6 +253,7 @@ impl QueueState {
     /// [`can_pop`](QueueState::can_pop); the hardware stalls).
     pub fn pop_checked(&mut self, queue: u32, c: usize) -> Result<Value, FaultDetection> {
         assert!(self.can_pop(c), "pop from empty channel {c}");
+        self.credit_occupancy(c);
         let mut bits = 0u64;
         for beat in 0..self.elem_beats() {
             let b = self.channels[c].pop_front().expect("beat available");
@@ -274,6 +311,7 @@ impl QueueState {
     /// counted as pushed but will never be popped. Returns false if the
     /// channel is empty.
     pub fn drop_tail_beat(&mut self, c: usize) -> bool {
+        self.credit_occupancy(c);
         match self.channels[c].pop_back() {
             Some(_) => {
                 self.beats_dropped += 1;
@@ -290,6 +328,7 @@ impl QueueState {
     /// undrained), so push counts and peak occupancy must include it.
     /// Returns false if the channel is empty.
     pub fn dup_tail_beat(&mut self, c: usize) -> bool {
+        self.credit_occupancy(c);
         match self.channels[c].back().copied() {
             Some(b) => {
                 self.channels[c].push_back(b);
@@ -548,18 +587,33 @@ mod tests {
     #[test]
     fn occupancy_histogram_is_time_weighted() {
         let mut qs = q(Ty::I32, 2);
-        qs.sample_occupancy(3); // both channels empty
+        // Cycles 0..3: both channels empty.
+        qs.set_cycle(3);
         qs.push(0, Value::I32(1));
-        qs.sample_occupancy(2); // channel 0 at 1 beat, channel 1 empty
+        // Cycles 3..5: channel 0 at 1 beat, channel 1 empty. Cycle 5 pushes
+        // and pops channel 1, so it ends that cycle empty again.
+        qs.set_cycle(5);
+        qs.push(1, Value::I32(2));
+        assert_eq!(qs.pop(1), Value::I32(2));
+        qs.set_cycle(6);
         let hist = qs.occupancy_hist();
         assert_eq!(hist[0][0], 3);
-        assert_eq!(hist[0][1], 2);
-        assert_eq!(hist[1][0], 5);
+        assert_eq!(hist[0][1], 3);
+        assert_eq!(hist[1][0], 6);
+        assert_eq!(hist[1][1], 0);
         let stats = qs.stats();
-        assert_eq!(stats.occupancy_hist, hist.to_vec());
-        assert_eq!(stats.beats_pushed, 1);
+        assert_eq!(stats.occupancy_hist, hist);
+        assert_eq!(stats.beats_pushed, 2);
         assert_eq!(stats.depth_beats, 16);
         assert_eq!(stats.elem_beats, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "queue clock moved back")]
+    fn clock_never_moves_back() {
+        let mut qs = q(Ty::I32, 1);
+        qs.set_cycle(5);
+        qs.set_cycle(4);
     }
 
     #[test]

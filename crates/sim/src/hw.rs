@@ -11,6 +11,8 @@
 //! owns a request port; the request/response crossbar is modelled by bank
 //! serialization inside [`CacheSystem`].
 
+mod lower;
+
 use crate::cache::{CacheConfig, CacheSystem};
 use crate::exec::{eval_binary, eval_cast, eval_fcmp, eval_gep, eval_icmp};
 use crate::fault::{FaultDetection, FaultPlan};
@@ -31,19 +33,26 @@ use std::fmt::Write as _;
 /// Which scheduling engine [`HwSystem::run`] uses.
 ///
 /// Both engines are cycle-exact: they produce bit-identical liveouts,
-/// return values, cycle counts, and per-worker statistics (the
-/// differential test matrix in `tests/differential_engines.rs` enforces
-/// this). The event-driven engine is simply faster on runs with long
-/// provably-idle windows (memory-latency-dominated phases, injected stall
-/// windows, pipeline fill/drain bubbles).
+/// return values, cycle counts, and per-worker, queue and cache statistics
+/// (the differential test matrix in `tests/differential_engines.rs`
+/// enforces this). Only [`SystemStats::skipped_cycles`] differs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SimEngine {
-    /// Skip-ahead scheduler: when no worker can act, jump straight to the
-    /// next wake-up cycle and bulk-credit the skipped stall/idle cycles.
+    /// Pre-lowered worker programs with per-worker wake-ups. Each task's
+    /// FSM is lowered once per [`HwSystem`] into flat micro-ops with
+    /// resolved register slots and phi move lists. A worker waiting on
+    /// memory, burning a multi-cycle state or clock-gated by a fault
+    /// sleeps until that ends (or the next timed fault boundary); a
+    /// FIFO-blocked worker sleeps until its handshake can complete. The
+    /// cycles it slept through are credited to its stall/busy/idle bucket
+    /// when it is next visited, and when every worker sleeps the whole
+    /// system jumps to the earliest wake-up.
     #[default]
     EventDriven,
-    /// Cycle-by-cycle reference stepper (forced whenever tracing is
-    /// armed, since a waveform needs per-cycle observation).
+    /// Cycle-by-cycle reference: interprets every worker's FSM state on
+    /// every cycle. The semantic definition the event-driven engine is
+    /// tested against; forced whenever a waveform trace is armed, since a
+    /// waveform needs per-cycle observation.
     PerCycle,
 }
 
@@ -190,6 +199,8 @@ struct ObsSink {
 pub struct HwSystem<'m> {
     funcs: Vec<&'m Function>,
     fsms: Vec<Fsm>,
+    /// `fsms` lowered for the event-driven engine, one per function.
+    programs: Vec<lower::Program>,
     workers: Vec<Worker>,
     queues: Vec<QueueState>,
     cache: CacheSystem,
@@ -238,11 +249,52 @@ impl<'m> HwSystem<'m> {
         }
         let queues: Vec<QueueState> =
             module.queues.iter().map(|q| QueueState::new(q, cfg.fifo_depth_beats)).collect();
-        let fifo_total_channels = module.queues.iter().map(|q| q.channels).sum();
         let liveouts = vec![None; pm.liveouts.len()];
+        HwSystem::assemble(funcs, fsms, workers, queues, liveouts, cfg, &module.name, worker_labels)
+    }
+
+    /// Build a single-worker system over one plain function (the LegUp-style
+    /// sequential-HLS baseline). The worker gets one cache port.
+    #[must_use]
+    pub fn for_single(func: &'m Function, args: &[Value], cfg: HwConfig) -> Self {
+        let fsm = schedule_function(func);
+        let workers = vec![Worker::new(0, func, args)];
+        let labels = vec![func.name.clone()];
+        HwSystem::assemble(
+            vec![func],
+            vec![fsm],
+            workers,
+            Vec::new(),
+            Vec::new(),
+            cfg,
+            &func.name,
+            labels,
+        )
+    }
+
+    /// Shared tail of the constructors: lower every FSM once and size each
+    /// worker's register file for its program.
+    #[allow(clippy::too_many_arguments)]
+    fn assemble(
+        funcs: Vec<&'m Function>,
+        fsms: Vec<Fsm>,
+        mut workers: Vec<Worker>,
+        queues: Vec<QueueState>,
+        liveouts: Vec<Option<Value>>,
+        cfg: HwConfig,
+        design: &str,
+        worker_labels: Vec<String>,
+    ) -> Self {
+        let programs: Vec<lower::Program> =
+            funcs.iter().zip(&fsms).map(|(f, fsm)| lower::lower(f, fsm)).collect();
+        for w in &mut workers {
+            w.vals.resize(programs[w.func].slots, None);
+        }
+        let fifo_total_channels = queues.iter().map(|q| q.channels() as u32).sum();
         HwSystem {
             funcs,
             fsms,
+            programs,
             workers,
             queues,
             cache: CacheSystem::new(cfg.cache),
@@ -252,30 +304,8 @@ impl<'m> HwSystem<'m> {
             trace: None,
             fault: None,
             obs: None,
-            design: pm.module.name.clone(),
+            design: design.to_string(),
             worker_labels,
-        }
-    }
-
-    /// Build a single-worker system over one plain function (the LegUp-style
-    /// sequential-HLS baseline). The worker gets one cache port.
-    #[must_use]
-    pub fn for_single(func: &'m Function, args: &[Value], cfg: HwConfig) -> Self {
-        let fsm = schedule_function(func);
-        HwSystem {
-            funcs: vec![func],
-            fsms: vec![fsm],
-            workers: vec![Worker::new(0, func, args)],
-            queues: Vec::new(),
-            cache: CacheSystem::new(cfg.cache),
-            liveouts: Vec::new(),
-            cfg,
-            fifo_total_channels: 0,
-            trace: None,
-            fault: None,
-            obs: None,
-            design: func.name.clone(),
-            worker_labels: vec![func.name.clone()],
         }
     }
 
@@ -416,8 +446,8 @@ impl<'m> HwSystem<'m> {
     /// [`HwError::Timeout`] when fuel runs out, [`HwError::Deadlock`] when
     /// no worker progresses, [`HwError::Unsupported`] on host-only ops.
     pub fn run(&mut self, mem: &mut SimMemory) -> Result<SystemStats, HwError> {
-        let skip = self.cfg.engine == SimEngine::EventDriven && self.trace.is_none();
-        self.run_impl(mem, skip)
+        let fast = self.cfg.engine == SimEngine::EventDriven && self.trace.is_none();
+        self.run_impl(mem, fast)
     }
 
     /// Run to completion with the per-cycle reference stepper, regardless
@@ -437,17 +467,20 @@ impl<'m> HwSystem<'m> {
         (self.cfg.fuel_cycles / 2500).max(10_000)
     }
 
-    /// Shared run loop. `skip_ahead = false` is the per-cycle reference
-    /// stepper; `true` adds the event-driven layer: after a cycle in which
-    /// every live worker is blocked (memory wait, FIFO handshake, injected
-    /// stall) or deterministically burning state latency, jump straight to
-    /// the earliest cycle anything new can happen and bulk-credit the
-    /// skipped cycles to each worker under its current classification.
-    /// Wake-up candidates are outstanding memory completions, the ends of
-    /// multi-cycle states, timed fault-window boundaries, the watchdog
-    /// deadline, and the fuel limit — so statistics, error cycles, and
-    /// fault attribution stay exactly per-cycle-equivalent.
-    fn run_impl(&mut self, mem: &mut SimMemory, skip_ahead: bool) -> Result<SystemStats, HwError> {
+    /// Shared run loop of both engines. `fast = false` is the per-cycle
+    /// reference: every live worker is interpreted (`step_worker`) on every
+    /// cycle. `fast = true` is the event-driven engine: workers execute
+    /// their lowered programs (`lower::step`), and a worker that is blocked
+    /// or burning state latency sleeps (see [`Nap`]). Each cycle visits the
+    /// live workers in index order — evaluation order is architecturally
+    /// visible through FIFO handshakes — and evaluates only those that are
+    /// due. A worker's slept cycles are credited to its bucket when it is
+    /// next evaluated. When every live worker sleeps through the next
+    /// cycle, the whole system jumps to the earliest wake-up, bounded by
+    /// the watchdog deadline and the fuel limit, and counts the jumped
+    /// cycles in `skipped_cycles`. Statistics, error cycles and fault
+    /// attribution stay exactly per-cycle-equivalent.
+    fn run_impl(&mut self, mem: &mut SimMemory, fast: bool) -> Result<SystemStats, HwError> {
         let fuel = self.cfg.fuel_cycles;
         let watchdog = self.watchdog_cycles();
         let n_workers = self.workers.len();
@@ -459,7 +492,11 @@ impl<'m> HwSystem<'m> {
         // bulk from `finish_cycle` once the run completes.
         let mut live: Vec<usize> = (0..n_workers).collect();
         let mut finish_cycle: Vec<u64> = vec![0; n_workers];
-        let mut classes: Vec<StepOutcome> = vec![StepOutcome::Active; n_workers];
+        let mut naps: Vec<Nap> = vec![Nap::AWAKE; n_workers];
+        // The latest wake-up of any nap taken while burning state latency.
+        // A burning worker is busy, i.e. progressing, on every cycle it
+        // sleeps through, so any cycle before this one counts as progress.
+        let mut burning_until: u64 = 0;
         // Tracing scratch, allocated once and reused every traced cycle.
         let mut queue_occ_before: Vec<u32> = vec![0; self.queues.len()];
         let mut last_cause: Vec<Option<StallCause>> = vec![None; n_workers];
@@ -492,102 +529,143 @@ impl<'m> HwSystem<'m> {
                     *occ = total_occupancy(&self.queues[qi]);
                 }
             }
-            let mut progressed = false;
+            let mut progressed = cycle < burning_until;
+            // Earliest cycle any live worker is due again.
+            let mut next = u64::MAX;
             let mut li = 0;
             while li < live.len() {
                 let wi = live[li];
-                if let Some(plan) = &mut self.fault {
-                    if plan.stall_active(wi, n_workers, cycle) {
-                        // Clock-gated this cycle: the FSM holds its state.
-                        self.workers[wi].stats.idle += 1;
-                        classes[wi] = StepOutcome::Frozen;
-                        if let Some(trace) = &mut self.trace {
-                            if last_cause[wi] != Some(StallCause::Frozen) {
-                                trace.record(TraceEvent::Stall {
-                                    cycle,
-                                    worker: wi as u32,
-                                    cause: StallCause::Frozen,
-                                });
-                                last_cause[wi] = Some(StallCause::Frozen);
-                            }
+                if cycle < naps[wi].wake && !naps[wi].handshake_ready(&self.queues) {
+                    next = next.min(naps[wi].wake);
+                    li += 1;
+                    continue;
+                }
+                naps[wi].settle(&mut self.workers[wi], cycle);
+                let outcome = if self
+                    .fault
+                    .as_mut()
+                    .is_some_and(|plan| plan.stall_active(wi, n_workers, cycle))
+                {
+                    // Clock-gated this cycle: the FSM holds its state.
+                    self.workers[wi].stats.idle += 1;
+                    if let Some(trace) = &mut self.trace {
+                        if last_cause[wi] != Some(StallCause::Frozen) {
+                            trace.record(TraceEvent::Stall {
+                                cycle,
+                                worker: wi as u32,
+                                cause: StallCause::Frozen,
+                            });
+                            last_cause[wi] = Some(StallCause::Frozen);
                         }
-                        li += 1;
-                        continue;
                     }
-                }
-                let before_busy = self.workers[wi].stats.busy;
-                let before_state = self.workers[wi].state;
-                let before_iters = self.workers[wi].stats.iterations;
-                let stepped = step_worker(
-                    self.funcs[self.workers[wi].func],
-                    &self.fsms[self.workers[wi].func],
-                    &mut self.workers[wi],
-                    &mut self.queues,
-                    &mut self.cache,
-                    mem,
-                    &mut self.liveouts,
-                    cycle,
-                    wi,
-                    &mut self.fault,
-                );
-                match stepped {
-                    Ok(outcome) => classes[wi] = outcome,
-                    Err(HwError::Fault { cycle, kind, .. }) => {
-                        return Err(HwError::Fault { cycle, kind, detail: self.dump_state() });
-                    }
-                    Err(other) => return Err(other),
-                }
-                let w = &self.workers[wi];
-                progressed |= w.stats.busy != before_busy;
-                if let Some(trace) = &mut self.trace {
-                    if cycle == 0 || w.state != before_state {
-                        trace.record(TraceEvent::State {
+                    StepOutcome::Frozen
+                } else {
+                    let f = self.workers[wi].func;
+                    let w = &mut self.workers[wi];
+                    let before_busy = w.stats.busy;
+                    let before_state = w.state;
+                    let before_iters = w.stats.iterations;
+                    let stepped = if fast {
+                        lower::step(
+                            &self.programs[f],
+                            self.funcs[f],
+                            &self.fsms[f],
+                            w,
+                            &mut self.queues,
+                            &mut self.cache,
+                            mem,
+                            &mut self.liveouts,
                             cycle,
-                            worker: wi as u32,
-                            state: w.state as u32,
-                        });
-                    }
-                    let cause = cause_of(classes[wi]);
-                    if last_cause[wi] != Some(cause) {
-                        trace.record(TraceEvent::Stall { cycle, worker: wi as u32, cause });
-                        last_cause[wi] = Some(cause);
-                    }
-                    if w.finished {
-                        trace.record(TraceEvent::Finish { cycle, worker: wi as u32 });
-                    }
-                }
-                if let Some(obs) = &self.obs {
-                    // A back edge retires the worker's current iteration:
-                    // its span covers every cycle up to and including this
-                    // one, and the next iteration opens at the boundary.
-                    // `Ret` ends the final iteration without a successor.
-                    // At most one of these fires per evaluated cycle, and
-                    // neither can occur inside a skipped window, so the
-                    // stream is engine-independent.
-                    if w.stats.iterations != before_iters {
-                        obs.rec.end_at(obs.pid, wi as u32 + 1, cycle + 1);
-                        if !w.finished {
-                            obs.rec.begin_at(
-                                obs.pid,
-                                wi as u32 + 1,
-                                cycle + 1,
-                                format!("iter {}", w.stats.iterations),
-                                "iteration",
-                            );
+                            wi,
+                            &mut self.fault,
+                        )
+                    } else {
+                        step_worker(
+                            self.funcs[f],
+                            &self.fsms[f],
+                            w,
+                            &mut self.queues,
+                            &mut self.cache,
+                            mem,
+                            &mut self.liveouts,
+                            cycle,
+                            wi,
+                            &mut self.fault,
+                        )
+                    };
+                    let outcome = match stepped {
+                        Ok(outcome) => outcome,
+                        Err(HwError::Fault { cycle, kind, .. }) => {
+                            return Err(HwError::Fault { cycle, kind, detail: self.dump_state() });
                         }
-                    } else if w.finished {
-                        obs.rec.end_at(obs.pid, wi as u32 + 1, cycle + 1);
+                        Err(other) => return Err(other),
+                    };
+                    let w = &self.workers[wi];
+                    progressed |= w.stats.busy != before_busy;
+                    if let Some(trace) = &mut self.trace {
+                        if cycle == 0 || w.state != before_state {
+                            trace.record(TraceEvent::State {
+                                cycle,
+                                worker: wi as u32,
+                                state: w.state as u32,
+                            });
+                        }
+                        let cause = cause_of(outcome);
+                        if last_cause[wi] != Some(cause) {
+                            trace.record(TraceEvent::Stall { cycle, worker: wi as u32, cause });
+                            last_cause[wi] = Some(cause);
+                        }
+                        if w.finished {
+                            trace.record(TraceEvent::Finish { cycle, worker: wi as u32 });
+                        }
                     }
-                }
+                    if let Some(obs) = &self.obs {
+                        // A back edge retires the worker's current iteration:
+                        // its span covers every cycle up to and including this
+                        // one, and the next iteration opens at the boundary.
+                        // `Ret` ends the final iteration without a successor.
+                        // At most one of these fires per evaluated cycle, and
+                        // neither can occur while the worker sleeps, so the
+                        // stream is engine-independent.
+                        if w.stats.iterations != before_iters {
+                            obs.rec.end_at(obs.pid, wi as u32 + 1, cycle + 1);
+                            if !w.finished {
+                                obs.rec.begin_at(
+                                    obs.pid,
+                                    wi as u32 + 1,
+                                    cycle + 1,
+                                    format!("iter {}", w.stats.iterations),
+                                    "iteration",
+                                );
+                            }
+                        } else if w.finished {
+                            obs.rec.end_at(obs.pid, wi as u32 + 1, cycle + 1);
+                        }
+                    }
+                    outcome
+                };
                 if self.workers[wi].finished {
                     finish_cycle[wi] = cycle;
                     // Plain remove (not swap) keeps the remaining workers in
                     // index order — evaluation order is architecturally
                     // visible through FIFO handshakes.
                     live.remove(li);
-                } else {
-                    li += 1;
+                    continue;
                 }
+                let handshake = match outcome {
+                    StepOutcome::FifoWait { .. } if fast => {
+                        let w = &self.workers[wi];
+                        lower::Handshake::of(&self.programs[w.func], w, &self.queues)
+                    }
+                    _ => None,
+                };
+                let nap = Nap::after(fast, outcome, handshake, cycle, self.fault.as_ref());
+                if matches!(nap.doze, Doze::Burn) {
+                    burning_until = burning_until.max(nap.wake);
+                }
+                naps[wi] = nap;
+                next = next.min(nap.wake);
+                li += 1;
             }
             if self.trace.is_some() || self.obs.is_some() {
                 for (qi, &before) in queue_occ_before.iter().enumerate() {
@@ -604,7 +682,7 @@ impl<'m> HwSystem<'m> {
                     }
                     if let Some(obs) = &self.obs {
                         // Occupancy can only move on an evaluated cycle
-                        // (pushes/pops need an active worker), so both
+                        // (pushes/pops need an evaluated worker), so both
                         // engines sample at identical cycles.
                         obs.rec.counter_at(
                             obs.pid,
@@ -616,75 +694,43 @@ impl<'m> HwSystem<'m> {
                     }
                 }
             }
-            // One occupancy sample per simulated cycle. Skipped windows are
-            // weighted in bulk below — occupancy cannot change while every
-            // worker is blocked or burning, so both engines accumulate
-            // identical histograms.
-            for q in &mut self.queues {
-                q.sample_occupancy(1);
-            }
             if progressed {
                 last_progress = cycle;
             } else if cycle - last_progress > watchdog {
                 return Err(self.no_progress_error(cycle));
             }
-            // An Active worker forces the very next cycle to be evaluated,
-            // so the skip machinery only engages on all-blocked/burning
-            // cycles — the common case pays one branch.
-            if skip_ahead
-                && !live.is_empty()
-                && !live.iter().any(|&wi| matches!(classes[wi], StepOutcome::Active))
-            {
-                // Earliest future cycle at which any worker can do anything
-                // other than repeat this cycle's stall/burn bookkeeping.
-                let mut wake = u64::MAX;
-                let mut any_burn = false;
-                for &wi in &live {
-                    match classes[wi] {
-                        StepOutcome::Active => unreachable!("gated above"),
-                        StepOutcome::MemWait { until } => wake = wake.min(until),
-                        StepOutcome::Burn { until } => {
-                            any_burn = true;
-                            wake = wake.min(until);
-                        }
-                        StepOutcome::Frozen | StepOutcome::FifoWait { .. } => {}
-                    }
-                }
-                if let Some(plan) = &self.fault {
-                    // A stall window opening or closing reclassifies a
-                    // worker (idle vs stall) and must be observed on cycle.
-                    wake = wake.min(plan.next_timed_boundary(cycle));
-                }
-                // Burning workers count as progress every cycle, so the
-                // watchdog deadline only binds when none burn.
+            // A FIFO sleeper visited before a later worker moved its queue
+            // this cycle retries next cycle.
+            if next > cycle + 1 && live.iter().any(|&wi| naps[wi].handshake_ready(&self.queues)) {
+                next = cycle + 1;
+            }
+            if next > cycle + 1 && !live.is_empty() {
+                // Every live worker sleeps through the next cycle. A burning
+                // sleeper progresses on every skipped cycle, so the watchdog
+                // deadline only binds when none burns.
+                let any_burn = burning_until > cycle + 1;
                 let deadline = if any_burn {
                     u64::MAX
                 } else {
                     last_progress.saturating_add(watchdog).saturating_add(1)
                 };
-                if wake.min(deadline).min(fuel) > cycle + 1 {
-                    let (bulk, next_cycle) = if fuel <= wake && fuel <= deadline {
-                        // Fuel exhausts first: credit up to the last
+                if deadline.min(fuel) > cycle + 1 {
+                    let (bulk, next_cycle) = if fuel <= next && fuel <= deadline {
+                        // Fuel exhausts first: skip up to the last
                         // simulated cycle, then exit with a timeout.
                         (fuel - 1 - cycle, fuel)
-                    } else if deadline < wake {
+                    } else if deadline < next {
                         // The per-cycle stepper would have declared the
                         // deadlock at exactly `deadline`.
                         (deadline - cycle, deadline)
                     } else {
-                        (wake - 1 - cycle, wake)
+                        (next - 1 - cycle, next)
                     };
-                    if bulk > 0 {
-                        self.bulk_credit(&live, &classes, bulk);
-                        for q in &mut self.queues {
-                            q.sample_occupancy(bulk);
-                        }
-                        skipped_cycles += bulk;
-                        if any_burn {
-                            last_progress = cycle + bulk;
-                        }
+                    skipped_cycles += bulk;
+                    if any_burn {
+                        last_progress = cycle + bulk;
                     }
-                    if deadline < wake && fuel > deadline {
+                    if deadline < next && fuel > deadline {
                         return Err(self.no_progress_error(deadline));
                     }
                     cycle = next_cycle;
@@ -721,6 +767,10 @@ impl<'m> HwSystem<'m> {
                 return Err(HwError::Fault { cycle, kind, detail: self.dump_state() });
             }
         }
+        // Settle the occupancy histograms through the last cycle.
+        for q in &mut self.queues {
+            q.set_cycle(cycle);
+        }
         let fifo_beats = self.queues.iter().map(|q| q.beats_pushed + q.beats_popped).sum();
         Ok(SystemStats {
             cycles: cycle,
@@ -730,34 +780,6 @@ impl<'m> HwSystem<'m> {
             cache: self.cache.stats,
             skipped_cycles,
         })
-    }
-
-    /// Credit `k` skipped cycles to every live worker according to its
-    /// classification for the just-evaluated cycle — exactly what `k` more
-    /// iterations of the per-cycle stepper would have recorded, given that
-    /// no wake-up event lies inside the skipped window.
-    fn bulk_credit(&mut self, live: &[usize], classes: &[StepOutcome], k: u64) {
-        for &wi in live {
-            let w = &mut self.workers[wi];
-            match classes[wi] {
-                StepOutcome::Frozen => w.stats.idle += k,
-                StepOutcome::MemWait { .. } => w.stats.stall_mem_read += k,
-                StepOutcome::FifoWait { queue, push } => w.stats.credit_fifo(queue, push, k),
-                StepOutcome::Burn { .. } => {
-                    w.stats.busy += k;
-                    // Consume beat-transfer cycles first, then `min_cycles`
-                    // down to 1, exactly as the per-cycle burn does. The
-                    // wake-up bound guarantees `k` never reaches the state
-                    // transition itself.
-                    let from_beats = k.min(u64::from(w.extra_wait));
-                    w.extra_wait -= from_beats as u32;
-                    let from_min = (k - from_beats) as u32;
-                    debug_assert!(w.min_left > from_min, "bulk burn crossed a state boundary");
-                    w.min_left -= from_min;
-                }
-                StepOutcome::Active => unreachable!("active workers are never skipped"),
-            }
-        }
     }
 
     /// The error the watchdog reports at `cycle`: a lost beat can starve a
@@ -798,9 +820,9 @@ fn cause_of(o: StepOutcome) -> StallCause {
 }
 
 /// How a worker spent one evaluated cycle. The event-driven engine uses
-/// this to decide whether (and how far) the whole system can skip ahead,
-/// and to bulk-credit the skipped cycles; the classification must mirror
-/// exactly what the per-cycle stepper would record for those cycles.
+/// this to decide how long the worker may sleep (see [`Nap`]) and to credit
+/// the cycles it slept through; the classification must mirror exactly
+/// what the per-cycle stepper would record for those cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum StepOutcome {
     /// Clock-gated by an injected stall window; accrues `idle`.
@@ -829,6 +851,101 @@ enum StepOutcome {
     },
     /// Touched shared state or is mid-state; re-evaluate next cycle.
     Active,
+}
+
+/// A worker's sleep between two evaluations: from `from` until `wake`,
+/// every cycle repeats what the worker did on its last evaluated cycle, so
+/// the worker is not evaluated and the cycles are credited to `doze`'s
+/// bucket when it is next visited.
+#[derive(Debug, Clone, Copy)]
+struct Nap {
+    doze: Doze,
+    /// First cycle not yet credited.
+    from: u64,
+    /// Cycle the worker is next evaluated, at the latest.
+    wake: u64,
+}
+
+/// How a worker sleeps, which names the bucket its slept cycles go to.
+#[derive(Debug, Clone, Copy)]
+enum Doze {
+    /// Not asleep: due on the next cycle.
+    Awake,
+    /// Clock-gated by an injected stall window (`idle`).
+    Frozen,
+    /// Waiting on a memory response (`stall_mem_read`).
+    MemRead,
+    /// Burning multi-cycle state latency (`busy`).
+    Burn,
+    /// Blocked on a FIFO handshake (per-queue push or pop wait); its
+    /// completion wakes the worker before `wake`.
+    Fifo(lower::Handshake),
+}
+
+impl Nap {
+    /// Due on the first cycle, with nothing to credit.
+    const AWAKE: Nap = Nap { doze: Doze::Awake, from: 0, wake: 0 };
+
+    /// The nap after a worker spent `cycle` as `class`. Under the per-cycle
+    /// stepper (`fast = false`) every worker is due on the next cycle. The
+    /// event-driven engine lets it sleep until the wait or burn ends; a
+    /// FIFO-blocked worker until `handshake` would complete, a frozen one
+    /// until its window closes. Any sleep also ends at the next timed fault
+    /// boundary, where a stall window may open or close.
+    fn after(
+        fast: bool,
+        class: StepOutcome,
+        handshake: Option<lower::Handshake>,
+        cycle: u64,
+        fault: Option<&FaultPlan>,
+    ) -> Nap {
+        let (doze, until) = match (fast, class, handshake) {
+            (true, StepOutcome::Frozen, _) => (Doze::Frozen, u64::MAX),
+            (true, StepOutcome::MemWait { until }, _) => (Doze::MemRead, until),
+            (true, StepOutcome::Burn { until }, _) => (Doze::Burn, until),
+            (true, StepOutcome::FifoWait { .. }, Some(h)) => (Doze::Fifo(h), u64::MAX),
+            _ => (Doze::Awake, cycle + 1),
+        };
+        let wake = match fault {
+            Some(plan) if until > cycle + 1 => until.min(plan.next_timed_boundary(cycle)),
+            _ => until,
+        };
+        Nap { doze, from: cycle + 1, wake }
+    }
+
+    /// True when the worker waits on a FIFO handshake that would now
+    /// complete: it is due now, before its `wake`.
+    #[inline]
+    fn handshake_ready(&self, queues: &[QueueState]) -> bool {
+        matches!(self.doze, Doze::Fifo(h) if h.ready(queues))
+    }
+
+    /// Credit the cycles slept before `cycle` to `w` — exactly what the
+    /// per-cycle stepper would have recorded for them, given that nothing
+    /// that could change the worker's class happened in between.
+    fn settle(self, w: &mut Worker, cycle: u64) {
+        let k = cycle - self.from;
+        if k == 0 {
+            return;
+        }
+        match self.doze {
+            Doze::Frozen => w.stats.idle += k,
+            Doze::MemRead => w.stats.stall_mem_read += k,
+            Doze::Fifo(h) => w.stats.credit_fifo(h.queue(), h.is_push(), k),
+            Doze::Burn => {
+                w.stats.busy += k;
+                // Consume beat-transfer cycles first, then `min_cycles`
+                // down to 1, exactly as the per-cycle burn does. The wake-up
+                // bound guarantees `k` never reaches the state transition.
+                let from_beats = k.min(u64::from(w.extra_wait));
+                w.extra_wait -= from_beats as u32;
+                let from_min = (k - from_beats) as u32;
+                debug_assert!(w.min_left > from_min, "slept through a state boundary");
+                w.min_left -= from_min;
+            }
+            Doze::Awake => unreachable!("awake workers are evaluated every cycle"),
+        }
+    }
 }
 
 /// Advance one worker by one cycle.
@@ -913,7 +1030,7 @@ fn step_worker(
                 w.cursor += 1;
             }
             Op::ICmp { pred, lhs, rhs } => {
-                let r = eval_icmp(*pred, getv(w, *lhs), getv(w, *rhs));
+                let r = eval_icmp(*pred, getv(w, *lhs), getv(w, *rhs))?;
                 w.vals[result_ix(func, iid, wi)?] = Some(r);
                 w.cursor += 1;
             }
@@ -1033,61 +1150,107 @@ fn try_queue(
     fault: &mut Option<FaultPlan>,
 ) -> Result<QueueOutcome, HwError> {
     let i = func.inst(inst);
-    let n_queues = queues.len();
     match &i.op {
         Op::Produce { queue, worker_sel, value } => {
-            let q = &mut queues[queue.index()];
+            let q = &queues[queue.index()];
             let chan =
                 (w.vals[worker_sel.index()].expect("selector").as_i32() as usize) % q.channels();
             if !q.can_push(chan) {
                 return Ok(QueueOutcome::Blocked { queue: queue.index() as u32, push: true });
             }
             let v = w.vals[value.index()].expect("produced value");
-            q.push(chan, v);
-            if let Some(plan) = fault.as_mut() {
-                if let Some(c) = plan.queue_corruption(queue.index(), n_queues, q.elems_pushed - 1)
-                {
-                    q.apply_corruption(chan, c);
-                }
-            }
-            Ok(QueueOutcome::Done { beats: v.ty().fifo_beats() })
+            Ok(QueueOutcome::Done {
+                beats: push_elem(queues, queue.index(), chan, v, cycle, fault),
+            })
         }
         Op::ProduceBroadcast { queue, value } => {
-            let q = &mut queues[queue.index()];
-            if !q.can_push_all() {
+            if !queues[queue.index()].can_push_all() {
                 return Ok(QueueOutcome::Blocked { queue: queue.index() as u32, push: true });
             }
             let v = w.vals[value.index()].expect("broadcast value");
-            q.push_all(v);
-            if let Some(plan) = fault.as_mut() {
-                // `push_all` counted one element push per channel.
-                let n_chan = q.channels() as u64;
-                for c in 0..q.channels() {
-                    let ordinal = q.elems_pushed - n_chan + c as u64;
-                    if let Some(cor) = plan.queue_corruption(queue.index(), n_queues, ordinal) {
-                        q.apply_corruption(c, cor);
-                    }
-                }
-            }
-            Ok(QueueOutcome::Done { beats: v.ty().fifo_beats() })
+            Ok(QueueOutcome::Done { beats: push_all_elem(queues, queue.index(), v, cycle, fault) })
         }
         Op::Consume { queue, channel_sel, ty } => {
-            let q = &mut queues[queue.index()];
+            let q = &queues[queue.index()];
             let chan =
                 (w.vals[channel_sel.index()].expect("selector").as_i32() as usize) % q.channels();
             if !q.can_pop(chan) {
                 return Ok(QueueOutcome::Blocked { queue: queue.index() as u32, push: false });
             }
-            let v = match q.pop_checked(queue.index() as u32, chan) {
-                Ok(v) => v,
-                // Caller fills `detail` with the whole-system dump.
-                Err(kind) => return Err(HwError::Fault { cycle, kind, detail: String::new() }),
-            };
+            let v = pop_elem(queues, queue.index(), chan, cycle)?;
             w.vals[result_ix(func, inst, wi)?] = Some(v);
             Ok(QueueOutcome::Done { beats: ty.fifo_beats() })
         }
         _ => unreachable!("try_queue on non-queue op"),
     }
+}
+
+/// Push `v` into channel `chan` of queue `qi` in `cycle` (the caller
+/// checked there is room) and apply any armed push-side corruption.
+/// Returns the beats the element occupies.
+fn push_elem(
+    queues: &mut [QueueState],
+    qi: usize,
+    chan: usize,
+    v: Value,
+    cycle: u64,
+    fault: &mut Option<FaultPlan>,
+) -> u32 {
+    let n_queues = queues.len();
+    let q = &mut queues[qi];
+    q.set_cycle(cycle);
+    q.push(chan, v);
+    if let Some(plan) = fault.as_mut() {
+        if let Some(c) = plan.queue_corruption(qi, n_queues, q.elems_pushed - 1) {
+            q.apply_corruption(chan, c);
+        }
+    }
+    v.ty().fifo_beats()
+}
+
+/// Broadcast `v` to every channel of queue `qi` in `cycle` (the caller
+/// checked there is room) and apply any armed push-side corruption.
+/// Returns the beats the element occupies.
+fn push_all_elem(
+    queues: &mut [QueueState],
+    qi: usize,
+    v: Value,
+    cycle: u64,
+    fault: &mut Option<FaultPlan>,
+) -> u32 {
+    let n_queues = queues.len();
+    let q = &mut queues[qi];
+    q.set_cycle(cycle);
+    q.push_all(v);
+    if let Some(plan) = fault.as_mut() {
+        // `push_all` counted one element push per channel.
+        let n_chan = q.channels() as u64;
+        for c in 0..q.channels() {
+            let ordinal = q.elems_pushed - n_chan + c as u64;
+            if let Some(cor) = plan.queue_corruption(qi, n_queues, ordinal) {
+                q.apply_corruption(c, cor);
+            }
+        }
+    }
+    v.ty().fifo_beats()
+}
+
+/// Pop one element from channel `chan` of queue `qi` in `cycle` (the
+/// caller checked one is there), checking beat protection.
+fn pop_elem(
+    queues: &mut [QueueState],
+    qi: usize,
+    chan: usize,
+    cycle: u64,
+) -> Result<Value, HwError> {
+    let q = &mut queues[qi];
+    q.set_cycle(cycle);
+    // The run loop fills `detail` with the whole-system dump.
+    q.pop_checked(qi as u32, chan).map_err(|kind| HwError::Fault {
+        cycle,
+        kind,
+        detail: String::new(),
+    })
 }
 
 /// Transition after a completed state.
@@ -1312,6 +1475,134 @@ mod tests {
         (m, vec![s0, s1])
     }
 
+    /// `for (i = 0; i < n; i++) body(i)` as a function of `params`, whose
+    /// last parameter is `n`.
+    fn counted_loop(
+        name: &str,
+        params: &[(&str, Ty)],
+        body: impl FnOnce(&mut FunctionBuilder, cgpa_ir::ValueId),
+    ) -> Function {
+        let mut b = FunctionBuilder::new(name, params, None);
+        let n = b.param(params.len() as u32 - 1);
+        let header = b.append_block("header");
+        let bb = b.append_block("body");
+        let exit = b.append_block("exit");
+        let zero = b.const_i32(0);
+        let one = b.const_i32(1);
+        b.br(header);
+        b.switch_to(header);
+        let i = b.phi(Ty::I32, "i");
+        let c = b.icmp(IntPredicate::Slt, i, n);
+        b.cond_br(c, bb, exit);
+        b.switch_to(bb);
+        body(&mut b, i);
+        let i2 = b.binary(BinOp::Add, i, one);
+        b.br(header);
+        b.switch_to(exit);
+        b.ret(None);
+        b.add_phi_incoming(i, b.entry_block(), zero);
+        b.add_phi_incoming(i, bb, i2);
+        b.finish().unwrap()
+    }
+
+    /// A producer (worker 0) blocked on a full FIFO is unblocked by a
+    /// consumer with a higher index, which then burns the rest of its
+    /// state: every worker sleeps, yet the producer must retry on the very
+    /// next cycle, exactly as the per-cycle stepper does.
+    #[test]
+    fn later_worker_wakes_a_blocked_producer() {
+        let n = 24;
+        let mut m = cgpa_ir::Module::new("wake");
+        let q = m.add_queue("vals", Ty::F64, 1);
+        let prod = counted_loop("prod", &[("n", Ty::I32)], |b, i| {
+            let v = b.cast(cgpa_ir::CastKind::SiToFp, i, Ty::F64);
+            let zero = b.const_i32(0);
+            b.produce(q, zero, v);
+        });
+        // The consume shares a two-cycle state with an integer multiply of
+        // parameters, so the f64's second beat leaves the consumer burning.
+        let cons =
+            counted_loop("cons", &[("out", Ty::Ptr), ("k", Ty::I32), ("n", Ty::I32)], |b, i| {
+                let out = b.param(0);
+                let k = b.param(1);
+                let _ = b.binary(BinOp::Mul, k, k);
+                let zero = b.const_i32(0);
+                let v = b.consume(q, zero, Ty::F64);
+                let p = b.gep(out, i, 8, 0);
+                b.store(p, v);
+            });
+        let fsm = schedule_function(&cons);
+        assert!(fsm.states.iter().any(|s| s.min_cycles == 2 && s.has_port_op(&cons)));
+        m.add_func(prod);
+        m.add_func(cons);
+
+        let run = |reference: bool| {
+            let mut mem = SimMemory::new(1 << 16);
+            let out = mem.alloc(8 * n as u32, 8);
+            let funcs: Vec<&Function> = m.funcs.iter().collect();
+            let fsms: Vec<Fsm> = funcs.iter().map(|f| schedule_function(f)).collect();
+            let workers = vec![
+                Worker::new(0, funcs[0], &[Value::I32(n)]),
+                Worker::new(1, funcs[1], &[Value::Ptr(out), Value::I32(3), Value::I32(n)]),
+            ];
+            let queues = vec![QueueState::new(&m.queues[0], 2)];
+            let labels = vec!["prod".into(), "cons".into()];
+            let cfg = HwConfig::default();
+            let mut sys =
+                HwSystem::assemble(funcs, fsms, workers, queues, Vec::new(), cfg, "wake", labels);
+            let stats = if reference { sys.run_reference(&mut mem) } else { sys.run(&mut mem) };
+            let stats = stats.unwrap();
+            for i in 0..n as u32 {
+                assert_eq!(mem.read_value(out + 8 * i, Ty::F64), Value::F64(f64::from(i)));
+            }
+            stats
+        };
+        let (ev, rf) = (run(false), run(true));
+        assert_eq!(ev.cycles, rf.cycles);
+        assert_eq!(ev.workers, rf.workers);
+        assert_eq!(ev.queues, rf.queues);
+        assert_eq!(ev.cache, rf.cache);
+    }
+
+    /// Phis that read each other's results on one edge update in parallel:
+    /// `(a, b) = (b, a)` swaps, it does not copy.
+    #[test]
+    fn swapping_phis_update_in_parallel() {
+        let mut b = FunctionBuilder::new("swap", &[("n", Ty::I32)], Some(Ty::I32));
+        let n = b.param(0);
+        let header = b.append_block("header");
+        let exit = b.append_block("exit");
+        let (zero, one, two) = (b.const_i32(0), b.const_i32(1), b.const_i32(2));
+        b.br(header);
+        b.switch_to(header);
+        let i = b.phi(Ty::I32, "i");
+        let x = b.phi(Ty::I32, "x");
+        let y = b.phi(Ty::I32, "y");
+        let i2 = b.binary(BinOp::Add, i, one);
+        let c = b.icmp(IntPredicate::Slt, i2, n);
+        b.cond_br(c, header, exit);
+        b.switch_to(exit);
+        let r = b.binary(BinOp::Sub, x, y);
+        b.ret(Some(r));
+        let entry = b.entry_block();
+        for (phi, init, next) in [(i, zero, i2), (x, one, y), (y, two, x)] {
+            b.add_phi_incoming(phi, entry, init);
+            b.add_phi_incoming(phi, header, next);
+        }
+        let f = b.finish().unwrap();
+        for n in [4, 5] {
+            // The back edge swaps `n - 1` times.
+            let want = if n % 2 == 0 { 2 - 1 } else { 1 - 2 };
+            for engine in [SimEngine::EventDriven, SimEngine::PerCycle] {
+                let mut mem = SimMemory::new(1 << 12);
+                let cfg = HwConfig { engine, ..HwConfig::default() };
+                let mut sys = HwSystem::for_single(&f, &[Value::I32(n)], cfg);
+                sys.run(&mut mem).unwrap();
+                assert_eq!(sys.ret_value(), Some(Value::I32(want)), "{engine:?}, n = {n}");
+            }
+        }
+    }
+
     #[test]
     fn engines_match_on_single_worker() {
         let f = scale_fn();
@@ -1400,21 +1691,18 @@ mod tests {
             workers.push(Worker::new(1, funcs[1], &[Value::Ptr(out), Value::I32(wid)]));
         }
         let queues: Vec<QueueState> = m.queues.iter().map(|q| QueueState::new(q, 16)).collect();
-        let mut sys = HwSystem {
+        let labels = vec!["gen".into(), "sink w0".into(), "sink w1".into()];
+        let mut sys = HwSystem::assemble(
             funcs,
             fsms,
             workers,
             queues,
-            cache: CacheSystem::new(CacheConfig::default()),
-            liveouts: Vec::new(),
-            cfg: HwConfig::default(),
-            fifo_total_channels: 4,
-            trace: None,
-            fault: None,
-            obs: None,
-            design: "tiny".to_string(),
-            worker_labels: vec!["gen".into(), "sink w0".into(), "sink w1".into()],
-        };
+            Vec::new(),
+            HwConfig::default(),
+            "tiny",
+            labels,
+        );
+        assert_eq!(sys.fifo_channels(), 4);
         let stats = sys.run(&mut mem).unwrap();
         for i in 0..n {
             assert_eq!(mem.read_i32(out + 4 * i as u32), 3 * i, "out[{i}]");

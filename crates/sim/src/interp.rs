@@ -178,7 +178,7 @@ fn run_impl(
             let get = |v: cgpa_ir::ValueId| vals[v.index()].expect("operand evaluated");
             let result: Option<Value> = match &inst.op {
                 Op::Binary { op, lhs, rhs } => Some(eval_binary(*op, get(*lhs), get(*rhs))?),
-                Op::ICmp { pred, lhs, rhs } => Some(eval_icmp(*pred, get(*lhs), get(*rhs))),
+                Op::ICmp { pred, lhs, rhs } => Some(eval_icmp(*pred, get(*lhs), get(*rhs))?),
                 Op::FCmp { pred, lhs, rhs } => Some(eval_fcmp(*pred, get(*lhs), get(*rhs))),
                 Op::Select { cond, on_true, on_false } => {
                     Some(if get(*cond).as_bool() { get(*on_true) } else { get(*on_false) })

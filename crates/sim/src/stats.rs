@@ -6,8 +6,9 @@
 //! run instead of reporting one undifferentiated stall total. Both
 //! simulation engines fill these buckets identically: the per-cycle
 //! reference stepper increments them cycle by cycle, and the event-driven
-//! engine bulk-credits skipped windows into the same buckets
-//! (`tests/differential_engines.rs` enforces bit-equality per bucket).
+//! engine credits the cycles a worker slept through into the same buckets
+//! when it next visits the worker (`tests/differential_engines.rs`
+//! enforces bit-equality per bucket).
 
 use crate::cache::CacheStats;
 
@@ -104,7 +105,7 @@ impl WorkerStats {
 }
 
 /// Per-queue-set occupancy statistics: beat counters plus a time-weighted
-/// per-channel occupancy histogram sampled once per simulated cycle.
+/// per-channel occupancy histogram that weighs every simulated cycle once.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QueueStats {
     /// Queue name (diagnostics).
@@ -192,9 +193,10 @@ pub struct SystemStats {
     pub queues: Vec<QueueStats>,
     /// Cache statistics.
     pub cache: CacheStats,
-    /// Cycles the event-driven engine bulk-credited instead of evaluating
-    /// (0 under the per-cycle reference stepper). Diagnostic only: every
-    /// other field is engine-independent, this one is not.
+    /// Cycles the event-driven engine jumped over because every live worker
+    /// slept through them (0 under the per-cycle reference stepper).
+    /// Diagnostic only: every other field is engine-independent, this one
+    /// is not.
     pub skipped_cycles: u64,
 }
 

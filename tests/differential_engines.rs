@@ -3,7 +3,8 @@
 //! liveouts (each flow already verifies memory and return value against the
 //! functional reference), identical cycle counts, and identical per-worker
 //! statistics — across every kernel, placement, the sequential fallback,
-//! and under injected timing faults.
+//! the memory-starved and shallow-FIFO regimes, and under injected timing
+//! faults.
 
 use cgpa_repro::cgpa::compiler::CgpaConfig;
 use cgpa_repro::cgpa::flows::{
@@ -116,6 +117,41 @@ fn p2_matches_reference_where_applicable() {
         let rf = run_cgpa_tuned(&k, cfg, tuning(SimEngine::PerCycle))
             .unwrap_or_else(|e| panic!("{}: reference P2: {e}", k.name));
         assert_same(&k.name, "P2", &ev, &rf);
+    }
+}
+
+/// The regimes where sleeping workers and FIFO wake-ups differ most from
+/// per-cycle stepping: 400-cycle misses on a 2-line cache keep workers
+/// asleep on memory for most of the run, and 2-beat FIFOs block producers
+/// and consumers on nearly every handshake.
+fn stress_tunings(engine: SimEngine) -> [(&'static str, HwTuning); 2] {
+    [
+        ("memory-starved", HwTuning { miss_latency: 400, cache_lines: 2, ..tuning(engine) }),
+        ("shallow-fifo", HwTuning { fifo_depth_beats: 2, ..tuning(engine) }),
+    ]
+}
+
+#[test]
+fn stress_regimes_match_reference() {
+    for k in small_suite() {
+        let mut placements = vec![ReplicablePlacement::Pipelined];
+        if has_p2(&k.name) {
+            placements.push(ReplicablePlacement::Replicated);
+        }
+        for placement in placements {
+            let cfg = CgpaConfig { placement, ..CgpaConfig::default() };
+            let regimes = stress_tunings(SimEngine::EventDriven)
+                .into_iter()
+                .zip(stress_tunings(SimEngine::PerCycle));
+            for ((label, ev_tuning), (_, rf_tuning)) in regimes {
+                let label = format!("{label} {placement:?}");
+                let ev = run_cgpa_tuned(&k, cfg, ev_tuning)
+                    .unwrap_or_else(|e| panic!("{}: event {label}: {e}", k.name));
+                let rf = run_cgpa_tuned(&k, cfg, rf_tuning)
+                    .unwrap_or_else(|e| panic!("{}: reference {label}: {e}", k.name));
+                assert_same(&k.name, &label, &ev, &rf);
+            }
+        }
     }
 }
 

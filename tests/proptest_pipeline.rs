@@ -1,6 +1,9 @@
 //! Property-based end-to-end fuzzing: random loop bodies are compiled
 //! through the full CGPA flow and the pipelined hardware must be
-//! bit-identical to the functional reference.
+//! bit-identical to the functional reference. Every accelerator run is
+//! repeated on the per-cycle reference engine, which must agree with the
+//! default engine on cycles and every statistic — at the paper's defaults
+//! and in a stress regime (2-beat FIFOs, a 2-line cache, 400-cycle misses).
 //!
 //! The generator emits loops of the shape
 //! `for (i = 0; i < n; i++) { t = expr(a[i], …); s (+)= t; b[i] = t' }`
@@ -13,8 +16,9 @@ use cgpa_repro::analysis::MemoryModel;
 use cgpa_repro::cgpa::compiler::{CgpaCompiler, CgpaConfig, CompileError};
 use cgpa_repro::ir::{builder::FunctionBuilder, inst::IntPredicate, BinOp, Function, Ty};
 use cgpa_repro::pipeline::PartitionError;
+use cgpa_repro::sim::cache::CacheConfig;
 use cgpa_repro::sim::interp::{run_function, NoHooks};
-use cgpa_repro::sim::{run_with_accelerator, HwConfig, HwSystem, SimMemory, Value};
+use cgpa_repro::sim::{run_with_accelerator, HwConfig, HwSystem, SimMemory, SystemStats, Value};
 use proptest::prelude::*;
 
 /// One random arithmetic node: combine two earlier values.
@@ -142,7 +146,43 @@ fn build_kernel(spec: &LoopSpec) -> (Function, MemoryModel) {
     (f, mm)
 }
 
+/// The configurations every accepted pipeline runs under.
+fn configs() -> [HwConfig; 2] {
+    let stress = HwConfig {
+        fifo_depth_beats: 2,
+        cache: CacheConfig { lines: 2, miss_latency: 400, ..CacheConfig::default() },
+        ..HwConfig::default()
+    };
+    [HwConfig::default(), stress]
+}
+
+/// The first statistic on which two engines' runs differ, if any.
+/// `skipped_cycles` is engine-dependent by design and not compared.
+fn engine_mismatch(ev: &SystemStats, rf: &SystemStats) -> Option<String> {
+    if ev.cycles != rf.cycles {
+        return Some(format!("cycles {} vs {}", ev.cycles, rf.cycles));
+    }
+    if ev.workers != rf.workers {
+        return Some(format!("worker stats {:?} vs {:?}", ev.workers, rf.workers));
+    }
+    if ev.queues != rf.queues {
+        return Some(format!("queue stats {:?} vs {:?}", ev.queues, rf.queues));
+    }
+    if ev.cache != rf.cache {
+        return Some(format!("cache stats {:?} vs {:?}", ev.cache, rf.cache));
+    }
+    (ev.fifo_beats != rf.fifo_beats)
+        .then(|| format!("fifo beats {} vs {}", ev.fifo_beats, rf.fifo_beats))
+}
+
 fn check(spec: &LoopSpec, workers: u32) -> Result<(), TestCaseError> {
+    for cfg in configs() {
+        check_config(spec, workers, cfg)?;
+    }
+    Ok(())
+}
+
+fn check_config(spec: &LoopSpec, workers: u32, cfg: HwConfig) -> Result<(), TestCaseError> {
     let (f, mm) = build_kernel(spec);
     let mut mem = SimMemory::new(1 << 16);
     let a = mem.alloc(4 * spec.trip, 4);
@@ -172,8 +212,20 @@ fn check(spec: &LoopSpec, workers: u32) -> Result<(), TestCaseError> {
         &mut hw_mem,
         10_000_000,
         &mut |_loop_id: u32, live_ins: &[Value], m: &mut SimMemory| {
-            let mut sys = HwSystem::for_pipeline(pm, live_ins, HwConfig::default());
-            sys.run(m).map_err(|e| e.to_string())?;
+            let mut ref_mem = m.clone();
+            let mut sys = HwSystem::for_pipeline(pm, live_ins, cfg);
+            let stats = sys.run(m).map_err(|e| e.to_string())?;
+            let mut rf = HwSystem::for_pipeline(pm, live_ins, cfg);
+            let ref_stats =
+                rf.run_reference(&mut ref_mem).map_err(|e| format!("reference engine: {e}"))?;
+            if let Some(d) = engine_mismatch(&stats, &ref_stats) {
+                return Err(format!("engines disagree: {d}"));
+            }
+            if sys.liveouts() != rf.liveouts()
+                || m.read_bytes(0, m.size()) != ref_mem.read_bytes(0, ref_mem.size())
+            {
+                return Err("engines disagree on liveouts or memory".to_string());
+            }
             Ok(sys.liveouts().to_vec())
         },
     )
