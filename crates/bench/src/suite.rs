@@ -161,3 +161,35 @@ pub fn scalability_sweep(
     .into_iter()
     .collect()
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cgpa_sim::mips::{run_mips as mips_model, MipsConfig};
+
+    /// The MIPS timing model rides the reference interpreter's hooks, and
+    /// Fig. 4 normalises every speedup to it: its cycles and instruction
+    /// counts on the quick suite are pinned.
+    #[test]
+    fn mips_model_is_pinned_on_the_quick_suite() {
+        let pinned = [
+            ("kmeans", 85_897, 44_966),
+            ("hash_index", 8_955, 5_637),
+            ("ks", 22_469, 12_131),
+            ("em3d", 42_921, 18_437),
+            ("gaussblur", 31_313, 11_705),
+        ];
+        let kernels = bench_kernels(KernelSet::Quick, 1);
+        assert_eq!(kernels.len(), pinned.len());
+        for (k, (name, cycles, instructions)) in kernels.iter().zip(pinned) {
+            assert_eq!(k.name, name);
+            let mut mem = k.mem.clone();
+            let run = mips_model(&k.func, &k.args, &mut mem, 4_000_000_000, &MipsConfig::default())
+                .unwrap();
+            assert_eq!((run.cycles, run.instructions), (cycles, instructions), "{name}");
+            let (ref_mem, ref_ret) = k.reference();
+            assert_eq!(run.ret, ref_ret, "{name}");
+            assert_eq!(mem.read_bytes(0, mem.size()), ref_mem.read_bytes(0, ref_mem.size()));
+        }
+    }
+}

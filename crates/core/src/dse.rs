@@ -18,7 +18,7 @@
 //! beats the tuner on every kernel (locked in by `tests/dse.rs`).
 
 use crate::compiler::{CgpaCompiler, CgpaConfig, CompileError, Compiled};
-use crate::flows::{run_compiled_tuned, FlowError, HwTuning};
+use crate::flows::{reference, run_compiled_impl, FlowError, HwTuning};
 use cgpa_ir::printer::print_function;
 use cgpa_ir::Function;
 use cgpa_kernels::BuiltKernel;
@@ -407,11 +407,15 @@ fn outcome_of(point: DsePoint, r: &crate::flows::RunResult) -> DseOutcome {
 ///
 /// Points with invalid cache geometry (a zero on a sweep axis) are
 /// rejected up front via [`CacheConfig::validate`] and recorded in
-/// [`DseReport::skipped`].
+/// [`DseReport::skipped`]. Every simulated point is verified in full
+/// against the kernel's functional reference, which is computed once per
+/// exploration.
 ///
 /// # Errors
-/// [`FlowError`] when *no* lattice point is feasible; per-point failures
-/// (compile or simulate) are recorded in [`DseReport::skipped`] instead.
+/// [`FlowError`] when *no* lattice point is feasible, and
+/// [`FlowError::Interp`] when the reference cannot be computed; per-point
+/// failures (compile or simulate) are recorded in [`DseReport::skipped`]
+/// instead.
 pub fn explore(
     k: &BuiltKernel,
     lattice: &DseLattice,
@@ -461,9 +465,11 @@ pub fn explore(
             Err(e) => skipped.extend(ps.iter().map(|&p| (p, format!("compile: {e}")))),
         }
     }
+    // Every point is verified in full against one reference.
+    let reference = if sims.is_empty() { None } else { Some(reference(k)?) };
     let runs = par_map_capped(&sims, cap, |(p, cfg, design)| {
-        run_compiled_tuned(k, design, *cfg, p.tuning(&env))
-            .map(|r| outcome_of(*p, &r))
+        run_compiled_impl(k, design, *cfg, p.tuning(&env), None, None, reference.as_ref())
+            .map(|(r, _)| outcome_of(*p, &r))
             .map_err(|e| e.to_string())
     });
     let mut evaluated: Vec<DseOutcome> = Vec::new();

@@ -135,7 +135,7 @@ pub fn run_legup_engine(k: &BuiltKernel, engine: SimEngine) -> Result<RunResult,
     let mut mem = k.mem.clone();
     let mut sys = HwSystem::for_single(&k.func, &k.args, cfg);
     let stats = sys.run(&mut mem)?;
-    verify_memory(k, &mem, sys.ret_value())?;
+    verify_memory(k, &mem, sys.ret_value(), None)?;
 
     let fsm = schedule_function(&k.func);
     let amodel = AreaModel::default();
@@ -242,16 +242,20 @@ pub fn run_compiled_tuned(
     config: CgpaConfig,
     tuning: HwTuning,
 ) -> Result<RunResult, FlowError> {
-    run_compiled_impl(k, compiled, config, tuning, None, None).map(|(r, _)| r)
+    run_compiled_impl(k, compiled, config, tuning, None, None, None).map(|(r, _)| r)
 }
 
-fn run_compiled_impl(
+/// Run `compiled` and verify it against `reference`, or against a
+/// reference computed here when none is given. Callers that verify several
+/// runs of one kernel compute the reference once and pass it to each.
+pub(crate) fn run_compiled_impl(
     k: &BuiltKernel,
     compiled: &Compiled,
     config: CgpaConfig,
     tuning: HwTuning,
     fault: Option<FaultPlan>,
     obs: Option<&Recorder>,
+    reference: Option<&Reference>,
 ) -> Result<(RunResult, Option<FaultPlan>), FlowError> {
     // One cache port per worker (paper §3.1: dedicated memory ports), up to
     // the 8-port cache of §4.1.
@@ -317,7 +321,7 @@ fn run_compiled_impl(
         None => FlowError::Interp(e.to_string()),
     })?;
     let stats = captured.ok_or_else(|| FlowError::Interp("fork never executed".to_string()))?;
-    verify_memory(k, &mem, ret)?;
+    verify_memory(k, &mem, ret, reference)?;
 
     // Area: one instance per sequential stage, `workers` instances of the
     // parallel stage, FIFO channel control.
@@ -399,7 +403,8 @@ pub fn run_cgpa_with_faults_tuned(
 ) -> Result<(RunResult, FaultPlan), FlowError> {
     let compiler = CgpaCompiler::new(config);
     let compiled = compiler.compile(&k.func, &k.model)?;
-    let (r, plan_out) = run_compiled_impl(k, &compiled, config, tuning, Some(plan.clone()), None)?;
+    let (r, plan_out) =
+        run_compiled_impl(k, &compiled, config, tuning, Some(plan.clone()), None, None)?;
     Ok((r, plan_out.unwrap_or(plan)))
 }
 
@@ -441,7 +446,7 @@ pub fn run_cgpa_traced(
     // Emit (and discard) the Verilog so the backend's span shows up on the
     // compile track; callers wanting the text can re-emit from `compiled`.
     let _ = compiler.emit_verilog_traced(&compiled, &track);
-    let (result, _) = run_compiled_impl(k, &compiled, config, tuning, None, Some(&recorder))?;
+    let (result, _) = run_compiled_impl(k, &compiled, config, tuning, None, Some(&recorder), None)?;
     Ok(TracedRun { result, recorder })
 }
 
@@ -466,9 +471,19 @@ pub fn run_cgpa_profiled(
     config: CgpaConfig,
     tuning: HwTuning,
 ) -> Result<ProfiledRun, FlowError> {
+    run_profiled(k, config, tuning, None)
+}
+
+/// [`run_cgpa_profiled`] verified against `reference` when given.
+fn run_profiled(
+    k: &BuiltKernel,
+    config: CgpaConfig,
+    tuning: HwTuning,
+    reference: Option<&Reference>,
+) -> Result<ProfiledRun, FlowError> {
     let compiler = CgpaCompiler::new(config);
     let compiled = compiler.compile(&k.func, &k.model)?;
-    let result = run_compiled_tuned(k, &compiled, config, tuning)?;
+    let (result, _) = run_compiled_impl(k, &compiled, config, tuning, None, None, reference)?;
     let stats = result.stats.as_ref().expect("pipeline runs capture stats");
     let profile =
         Profile::from_stats(&k.name, &result.config, &compiled, stats, tuning.fifo_depth_beats);
@@ -571,21 +586,22 @@ pub fn next_tune_step(
 /// the bottleneck is one no knob addresses.
 ///
 /// # Errors
-/// See [`FlowError`]. Every candidate run is verified against the
-/// functional reference, exactly like [`run_cgpa`].
+/// See [`FlowError`]. Every candidate run is verified in full against the
+/// functional reference, which is computed once per tuning.
 pub fn run_cgpa_tuned_auto(
     k: &BuiltKernel,
     config: CgpaConfig,
     tuning: HwTuning,
     min_gain: f64,
 ) -> Result<TuneOutcome, FlowError> {
+    let reference = reference(k)?;
     let mut config = config;
     let mut tuning = tuning;
     let mut steps: Vec<TuneStep> = Vec::new();
     let mut best: Option<ProfiledRun> = None;
     let mut baseline_cycles = 0u64;
     for _ in 0..TUNE_MAX_ITERS {
-        let run = run_cgpa_profiled(k, config, tuning)?;
+        let run = run_profiled(k, config, tuning, Some(&reference))?;
         let cycles = run.result.cycles;
         let accepted = match &best {
             None => {
@@ -675,18 +691,40 @@ pub fn run_cgpa_degraded(
     }
 }
 
-/// Compare a hardware run's memory and return value against the reference.
-fn verify_memory(k: &BuiltKernel, mem: &SimMemory, ret: Option<Value>) -> Result<(), FlowError> {
-    let (ref_mem, ref_ret) = k.reference();
+/// A kernel's functional reference: final memory image and return value.
+pub(crate) type Reference = (SimMemory, Option<Value>);
+
+/// Compute `k`'s reference; an interpreter failure is a
+/// [`FlowError::Interp`].
+pub(crate) fn reference(k: &BuiltKernel) -> Result<Reference, FlowError> {
+    k.try_reference().map_err(|e| FlowError::Interp(format!("{} reference: {e}", k.name)))
+}
+
+/// Compare a hardware run's memory and return value against `reference`,
+/// computing it when not given.
+fn verify_memory(
+    k: &BuiltKernel,
+    mem: &SimMemory,
+    ret: Option<Value>,
+    reference: Option<&Reference>,
+) -> Result<(), FlowError> {
+    let computed;
+    let (ref_mem, ref_ret) = match reference {
+        Some(r) => r,
+        None => {
+            computed = self::reference(k)?;
+            &computed
+        }
+    };
     if mem.read_bytes(0, mem.size()) != ref_mem.read_bytes(0, ref_mem.size()) {
-        let diffs = cgpa_sim::diff_memories(mem, &ref_mem, 8);
+        let diffs = cgpa_sim::diff_memories(mem, ref_mem, 8);
         return Err(FlowError::Mismatch(format!(
             "{}: memory state differs\n{}",
             k.name,
             cgpa_sim::render_diffs(&diffs, None)
         )));
     }
-    if ret != ref_ret {
+    if ret != *ref_ret {
         return Err(FlowError::Mismatch(format!(
             "{}: return value {ret:?} != {ref_ret:?}",
             k.name

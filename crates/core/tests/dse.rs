@@ -9,7 +9,7 @@ use cgpa::dse::{
     dominates, pareto_frontier, schedule_hash, CompileCache, DseLattice, DseOutcome, DsePoint,
     DEFAULT_AREA_BUDGET_ALUT,
 };
-use cgpa::flows::{run_cgpa_dse, run_cgpa_tuned_auto, HwTuning, TUNE_MIN_GAIN};
+use cgpa::flows::{run_cgpa_dse, run_cgpa_tuned_auto, run_compiled_tuned, HwTuning, TUNE_MIN_GAIN};
 use cgpa_kernels::{em3d, gaussblur, hash_index, kmeans, ks, BuiltKernel};
 use cgpa_pipeline::ReplicablePlacement;
 use proptest::prelude::*;
@@ -151,6 +151,33 @@ fn memoized_compile_is_bit_identical_to_fresh() {
     let stats = cache.stats();
     assert_eq!(stats.compiles as usize, suite().len());
     assert_eq!(stats.hits as usize, suite().len());
+}
+
+#[test]
+fn every_explored_point_equals_a_standalone_run() {
+    // The explorer verifies every point against one shared reference; a
+    // standalone run computes its own. Nothing else may differ.
+    let k = &suite()[3]; // em3d: S-P under P1, P under P2
+    let lattice = DseLattice {
+        workers: vec![1, 4],
+        fifo_depths: vec![16, 64],
+        placements: vec![ReplicablePlacement::Pipelined, ReplicablePlacement::Replicated],
+        ..DseLattice::default()
+    };
+    let env = himem();
+    let cache = CompileCache::new();
+    let report = run_cgpa_dse(k, &lattice, env, DEFAULT_AREA_BUDGET_ALUT, &cache).unwrap();
+    assert_eq!(report.evaluated.len(), 8, "skipped: {:?}", report.skipped);
+    for o in &report.evaluated {
+        let config = o.point.config(&CgpaConfig::default());
+        let compiled = CgpaCompiler::new(config).compile(&k.func, &k.model).unwrap();
+        let r = run_compiled_tuned(k, &compiled, config, o.point.tuning(&env)).unwrap();
+        let label = o.point.label();
+        assert_eq!(o.cycles, r.cycles, "{label}");
+        assert_eq!(o.alut, r.alut, "{label}");
+        assert_eq!(o.power_mw.to_bits(), r.power_mw.to_bits(), "{label}");
+        assert_eq!(o.energy_uj.to_bits(), r.energy_uj.to_bits(), "{label}");
+    }
 }
 
 fn outcome(cycles: u64, alut: u32, power: f64) -> DseOutcome {

@@ -228,3 +228,92 @@ fn ordered_icmp_on_i1_is_rejected_and_never_panics() {
         assert!(matches!(err, HwError::Unsupported(_)), "{engine:?}: got {err:?}");
     }
 }
+
+/// Three malformed functions the verifier would reject, each failing only
+/// on the op or edge that executes:
+/// - `undefined`: the join reads a value only the skipped arm defines;
+/// - `missing_incoming`: the loop header's phi has no value for the back
+///   edge;
+/// - `no_terminator`: the entry block runs off its end.
+fn malformed_functions() -> Vec<(&'static str, Function)> {
+    let mut out = Vec::new();
+
+    let mut b = FunctionBuilder::new("undefined", &[("c", Ty::I1)], Some(Ty::I32));
+    let c = b.param(0);
+    let then = b.append_block("then");
+    let join = b.append_block("join");
+    let one = b.const_i32(1);
+    b.cond_br(c, then, join);
+    b.switch_to(then);
+    let v = b.binary(BinOp::Add, one, one);
+    b.br(join);
+    b.switch_to(join);
+    let w = b.binary(BinOp::Add, v, one);
+    b.ret(Some(w));
+    out.push(("undefined", b.finish_unverified()));
+
+    let mut b = FunctionBuilder::new("missing_incoming", &[("c", Ty::I1)], Some(Ty::I32));
+    let c = b.param(0);
+    let header = b.append_block("header");
+    let exit = b.append_block("exit");
+    let zero = b.const_i32(0);
+    b.br(header);
+    b.switch_to(header);
+    let i = b.phi(Ty::I32, "i");
+    b.cond_br(c, header, exit);
+    b.switch_to(exit);
+    b.ret(Some(i));
+    b.add_phi_incoming(i, b.entry_block(), zero);
+    out.push(("missing_incoming", b.finish_unverified()));
+
+    let mut b = FunctionBuilder::new("no_terminator", &[("c", Ty::I1)], Some(Ty::I32));
+    let one = b.const_i32(1);
+    let _ = b.binary(BinOp::Add, one, one);
+    out.push(("no_terminator", b.finish_unverified()));
+    out
+}
+
+#[test]
+fn malformed_functions_are_typed_interpreter_errors() {
+    use cgpa_sim::{run_function, InterpError, NoHooks};
+
+    for (name, f) in malformed_functions() {
+        assert!(cgpa_ir::verify::verify(&f).is_err(), "{name} should not verify");
+        let mut mem = SimMemory::new(1 << 12);
+        // The arm or edge that is well formed still runs.
+        let ok = run_function(&f, &[Value::I1(true)], &mut mem, 1_000, &mut NoHooks);
+        let bad = run_function(&f, &[Value::I1(false)], &mut mem, 1_000, &mut NoHooks);
+        match name {
+            "undefined" => assert_eq!(ok, Ok((Some(Value::I32(3)), 5))),
+            "missing_incoming" => assert_eq!(bad, Ok((Some(Value::I32(0)), 4))),
+            _ => {}
+        }
+        let err = if name == "missing_incoming" { ok } else { bad }.unwrap_err();
+        assert!(matches!(err, InterpError::Malformed(_)), "{name}: got {err:?}");
+        assert!(err.to_string().starts_with("malformed function: "), "{name}: {err}");
+    }
+}
+
+#[test]
+fn a_failing_reference_is_a_typed_flow_error() {
+    use cgpa::flows::{run_cgpa_dse, run_cgpa_tuned_auto, HwTuning, TUNE_MIN_GAIN};
+    use cgpa_sim::InterpError;
+
+    // The lying model lets the poisoned loop compile to a pipeline, so the
+    // explorer reaches its verification step; the reference cannot run.
+    let mut mm = MemoryModel::new();
+    let ra = mm.add_region("a", 4, true, false);
+    let racc = mm.add_region("acc", 4, false, true);
+    mm.bind_param(0, ra);
+    mm.bind_param(1, racc);
+    let k = workload(ptr_mul_loop(), mm);
+    assert!(matches!(k.try_reference(), Err(InterpError::UnsupportedOp(_))));
+
+    let err = run_cgpa_tuned_auto(&k, CgpaConfig::default(), HwTuning::default(), TUNE_MIN_GAIN)
+        .unwrap_err();
+    assert!(matches!(&err, FlowError::Interp(m) if m.contains("reference")), "{err}");
+    let lattice = cgpa::dse::DseLattice { workers: vec![1, 2], ..cgpa::dse::DseLattice::quick() };
+    let cache = cgpa::dse::CompileCache::new();
+    let err = run_cgpa_dse(&k, &lattice, HwTuning::default(), u32::MAX, &cache).unwrap_err();
+    assert!(matches!(&err, FlowError::Interp(m) if m.contains("reference")), "{err}");
+}

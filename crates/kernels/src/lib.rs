@@ -27,7 +27,7 @@ pub mod ks;
 
 use cgpa_analysis::MemoryModel;
 use cgpa_ir::Function;
-use cgpa_sim::interp::{run_function, NoHooks};
+use cgpa_sim::interp::{run_function, InterpError, NoHooks};
 use cgpa_sim::{SimMemory, Value};
 
 /// A fully materialized benchmark instance: kernel IR, memory image,
@@ -59,13 +59,22 @@ impl BuiltKernel {
     ///
     /// # Panics
     /// Panics if the kernel fails to interpret (a bug in the kernel
-    /// definition).
+    /// definition); [`BuiltKernel::try_reference`] returns the error
+    /// instead.
     #[must_use]
     pub fn reference(&self) -> (SimMemory, Option<Value>) {
+        self.try_reference().expect("kernel reference execution")
+    }
+
+    /// [`BuiltKernel::reference`], returning an interpreter failure instead
+    /// of panicking.
+    ///
+    /// # Errors
+    /// Whatever the reference interpreter reports ([`InterpError`]).
+    pub fn try_reference(&self) -> Result<(SimMemory, Option<Value>), InterpError> {
         let mut mem = self.mem.clone();
-        let (ret, _) = run_function(&self.func, &self.args, &mut mem, 2_000_000_000, &mut NoHooks)
-            .expect("kernel reference execution");
-        (mem, ret)
+        let (ret, _) = run_function(&self.func, &self.args, &mut mem, 2_000_000_000, &mut NoHooks)?;
+        Ok((mem, ret))
     }
 }
 

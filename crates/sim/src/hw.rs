@@ -288,7 +288,7 @@ impl<'m> HwSystem<'m> {
         let programs: Vec<lower::Program> =
             funcs.iter().zip(&fsms).map(|(f, fsm)| lower::lower(f, fsm)).collect();
         for w in &mut workers {
-            w.vals.resize(programs[w.func].slots, None);
+            w.vals.resize(programs[w.func].slots(), None);
         }
         let fifo_total_channels = queues.iter().map(|q| q.channels() as u32).sum();
         HwSystem {

@@ -4,16 +4,19 @@
 //! flat program once per [`HwSystem`](super::HwSystem): per-state ranges of
 //! micro-ops whose operand and result register slots are resolved in
 //! advance, and a precomputed exit per state (next state, branch edge or
-//! return). Each edge carries its phi move list and a back-edge flag. [`step`]
-//! then executes a worker for one cycle without touching the IR, with
-//! exactly the semantics of the interpretive `step_worker`.
+//! return). Each edge carries its phi move list and a back-edge flag. The
+//! ops and edges come from the lowering the reference interpreter shares
+//! ([`crate::micro`]). [`step`] then executes a worker for one cycle
+//! without touching the IR, with exactly the semantics of the interpretive
+//! `step_worker`; the accelerator primitives (`parallel_fork`, …) fail as
+//! [`HwError::Unsupported`].
 //!
 //! Every check stays where the interpreter performs it: an undefined
 //! operand, an unsupported op or a missing result register fails when the
 //! op executes, never at lowering time. Shapes the lowering does not
 //! expect (a block without a terminator, a phi that misses an edge) lower
-//! to [`Exit::Interpret`], which hands the transition to the interpreter's
-//! `advance` so it fails exactly as it always did.
+//! to [`Exit::Malformed`] or an unlowered edge, which hand the transition
+//! to the interpreter's `advance` so it fails exactly as it always did.
 
 use super::{
     advance, burn_outcome, pop_elem, push_all_elem, push_elem, HwError, StepOutcome, Worker,
@@ -23,122 +26,15 @@ use crate::exec::{eval_binary, eval_cast, eval_fcmp, eval_gep, eval_icmp};
 use crate::fault::FaultPlan;
 use crate::fifo::QueueState;
 use crate::mem::SimMemory;
+use crate::micro::{Code, Exit, MicroOp, NONE};
 use crate::value::Value;
-use cgpa_ir::{
-    BinOp, BlockId, CastKind, FloatPredicate, Function, InstId, IntPredicate, Op, Ty, ValueId,
-};
+use cgpa_ir::{Function, InstId, Op};
 use cgpa_rtl::Fsm;
-
-/// Slot index meaning "none": an op without a result register, a `gep`
-/// without an index, a `ret` without a value.
-const NONE: u32 = u32::MAX;
-
-/// One datapath operation with its register slots resolved.
-#[derive(Debug, Clone, Copy)]
-enum MicroOp {
-    /// A terminator placed before the state's last op; terminators act on
-    /// state completion.
-    Nop,
-    Load {
-        addr: u32,
-        ty: Ty,
-        dst: u32,
-    },
-    Store {
-        addr: u32,
-        value: u32,
-    },
-    Produce {
-        queue: u32,
-        sel: u32,
-        value: u32,
-    },
-    Broadcast {
-        queue: u32,
-        value: u32,
-    },
-    Consume {
-        queue: u32,
-        sel: u32,
-        ty: Ty,
-        dst: u32,
-    },
-    Binary {
-        op: BinOp,
-        lhs: u32,
-        rhs: u32,
-        dst: u32,
-    },
-    ICmp {
-        pred: IntPredicate,
-        lhs: u32,
-        rhs: u32,
-        dst: u32,
-    },
-    FCmp {
-        pred: FloatPredicate,
-        lhs: u32,
-        rhs: u32,
-        dst: u32,
-    },
-    Select {
-        cond: u32,
-        on_true: u32,
-        on_false: u32,
-        dst: u32,
-    },
-    Cast {
-        kind: CastKind,
-        value: u32,
-        to: Ty,
-        dst: u32,
-    },
-    Gep {
-        base: u32,
-        index: u32,
-        scale: u32,
-        offset: i32,
-        dst: u32,
-    },
-    StoreLiveout {
-        slot: u32,
-        value: u32,
-    },
-    /// A host-side primitive the hardware model does not execute.
-    Unsupported,
-}
-
-/// How a state ends once its ops have executed and its latency elapsed.
-#[derive(Debug, Clone, Copy)]
-enum Exit {
-    /// Fall through to the next state of the same block.
-    Next,
-    /// Take edge `Program::edges[.0]`.
-    Jump(u32),
-    /// Take one of two edges on the `i1` in slot `cond`.
-    Branch { cond: u32, on_true: u32, on_false: u32 },
-    /// Finish, latching the return value in slot `value` (or none).
-    Ret { value: u32 },
-    /// Leave the transition to the interpreter (see the module docs).
-    Interpret,
-}
-
-/// A CFG edge between two blocks.
-#[derive(Debug, Clone, Copy)]
-struct Edge {
-    /// First state of the target block.
-    target: u32,
-    /// The edge closes a loop iteration (the target state is not after
-    /// the source state).
-    back: bool,
-    /// Range of `Program::moves` executed on the edge, in order.
-    moves: (u32, u32),
-}
 
 /// One FSM state.
 #[derive(Debug, Clone, Copy)]
 struct LState {
-    /// Range of `Program::ops`.
+    /// Range of `Code::ops`.
     start: u32,
     end: u32,
     /// Length of the FSM state's op list. A worker's cursor rests there
@@ -153,34 +49,15 @@ struct LState {
 #[derive(Debug)]
 pub(super) struct Program {
     states: Vec<LState>,
-    ops: Vec<MicroOp>,
-    /// Source instruction of each op, for error messages.
-    insts: Vec<InstId>,
-    edges: Vec<Edge>,
-    /// Phi moves `(dst, src)`. An edge whose phis read each other's
-    /// results goes through staging slots so the moves stay parallel.
-    moves: Vec<(u32, u32)>,
-    /// Register slots a worker needs: the function's values plus staging
-    /// slots.
-    pub(super) slots: usize,
-}
-
-fn slot(v: ValueId) -> u32 {
-    v.index() as u32
+    code: Code,
 }
 
 /// Lower `func`, scheduled as `fsm`, into a flat program.
 pub(super) fn lower(func: &Function, fsm: &Fsm) -> Program {
-    let mut p = Program {
-        states: Vec::with_capacity(fsm.states.len()),
-        ops: Vec::new(),
-        insts: Vec::new(),
-        edges: Vec::new(),
-        moves: Vec::new(),
-        slots: func.values.len(),
-    };
+    let mut code = Code::new(func);
+    let mut states = Vec::with_capacity(fsm.states.len());
     for (si, st) in fsm.states.iter().enumerate() {
-        let start = p.ops.len() as u32;
+        let start = code.ops.len() as u32;
         // Trailing terminators need no micro-op; ops keep their FSM index.
         let n = st
             .ops
@@ -188,23 +65,25 @@ pub(super) fn lower(func: &Function, fsm: &Fsm) -> Program {
             .rposition(|&i| !acts_on_completion(&func.inst(i).op))
             .map_or(0, |l| l + 1);
         for &iid in &st.ops[..n] {
-            p.ops.push(lower_op(func, iid));
-            p.insts.push(iid);
+            code.push_op(func, iid);
         }
         let exit = if fsm.block_last(st.block).index() == si {
-            lower_exit(func, fsm, si, st.block, &mut p)
+            code.lower_exit(func, st.block, func.terminator(st.block), |to| {
+                let target = fsm.block_entry.get(to.index())?.index();
+                Some((target as u32, target <= si))
+            })
         } else {
             Exit::Next
         };
-        p.states.push(LState {
+        states.push(LState {
             start,
-            end: p.ops.len() as u32,
+            end: code.ops.len() as u32,
             fsm_len: st.ops.len() as u32,
             min_cycles: st.min_cycles,
             exit,
         });
     }
-    p
+    Program { states, code }
 }
 
 /// Ops the interpreter skips while executing a state (they act, if at
@@ -213,112 +92,17 @@ fn acts_on_completion(op: &Op) -> bool {
     matches!(op, Op::Br { .. } | Op::CondBr { .. } | Op::Ret { .. } | Op::Phi { .. })
 }
 
-fn lower_op(func: &Function, iid: InstId) -> MicroOp {
-    let inst = func.inst(iid);
-    let dst = inst.result.map_or(NONE, slot);
-    match inst.op {
-        Op::Br { .. } | Op::CondBr { .. } | Op::Ret { .. } | Op::Phi { .. } => MicroOp::Nop,
-        Op::Load { addr, ty } => MicroOp::Load { addr: slot(addr), ty, dst },
-        Op::Store { addr, value } => MicroOp::Store { addr: slot(addr), value: slot(value) },
-        Op::Produce { queue, worker_sel, value } => MicroOp::Produce {
-            queue: queue.index() as u32,
-            sel: slot(worker_sel),
-            value: slot(value),
-        },
-        Op::ProduceBroadcast { queue, value } => {
-            MicroOp::Broadcast { queue: queue.index() as u32, value: slot(value) }
-        }
-        Op::Consume { queue, channel_sel, ty } => {
-            MicroOp::Consume { queue: queue.index() as u32, sel: slot(channel_sel), ty, dst }
-        }
-        Op::Binary { op, lhs, rhs } => MicroOp::Binary { op, lhs: slot(lhs), rhs: slot(rhs), dst },
-        Op::ICmp { pred, lhs, rhs } => MicroOp::ICmp { pred, lhs: slot(lhs), rhs: slot(rhs), dst },
-        Op::FCmp { pred, lhs, rhs } => MicroOp::FCmp { pred, lhs: slot(lhs), rhs: slot(rhs), dst },
-        Op::Select { cond, on_true, on_false } => MicroOp::Select {
-            cond: slot(cond),
-            on_true: slot(on_true),
-            on_false: slot(on_false),
-            dst,
-        },
-        Op::Cast { kind, value, to } => MicroOp::Cast { kind, value: slot(value), to, dst },
-        Op::Gep { base, index, scale, offset } => {
-            MicroOp::Gep { base: slot(base), index: index.map_or(NONE, slot), scale, offset, dst }
-        }
-        Op::StoreLiveout { slot: s, value } => {
-            MicroOp::StoreLiveout { slot: s, value: slot(value) }
-        }
-        Op::ParallelFork { .. } | Op::ParallelJoin { .. } | Op::RetrieveLiveout { .. } => {
-            MicroOp::Unsupported
-        }
-    }
-}
-
-/// The exit of state `si`, the last state of `block`.
-fn lower_exit(func: &Function, fsm: &Fsm, si: usize, block: BlockId, p: &mut Program) -> Exit {
-    let Some(term) = func.terminator(block) else { return Exit::Interpret };
-    match func.inst(term).op {
-        Op::Br { target } => {
-            lower_edge(func, fsm, si, block, target, p).map_or(Exit::Interpret, Exit::Jump)
-        }
-        Op::CondBr { cond, on_true, on_false } => {
-            match (
-                lower_edge(func, fsm, si, block, on_true, p),
-                lower_edge(func, fsm, si, block, on_false, p),
-            ) {
-                (Some(t), Some(f)) => Exit::Branch { cond: slot(cond), on_true: t, on_false: f },
-                _ => Exit::Interpret,
-            }
-        }
-        Op::Ret { value } => Exit::Ret { value: value.map_or(NONE, slot) },
-        _ => Exit::Interpret,
-    }
-}
-
-/// Lower the edge `from -> to` leaving state `si`; `None` when a phi of
-/// `to` lacks an incoming value or result for it.
-fn lower_edge(
-    func: &Function,
-    fsm: &Fsm,
-    si: usize,
-    from: BlockId,
-    to: BlockId,
-    p: &mut Program,
-) -> Option<u32> {
-    let target = fsm.block_entry.get(to.index())?.index();
-    let mut moves: Vec<(u32, u32)> = Vec::new();
-    for &iid in &func.blocks.get(to.index())?.insts {
-        let inst = func.inst(iid);
-        let Op::Phi { incomings, .. } = &inst.op else { break };
-        let &(_, v) = incomings.iter().find(|(b, _)| *b == from)?;
-        moves.push((slot(inst.result?), slot(v)));
-    }
-    let start = p.moves.len() as u32;
-    // Phis update in parallel: a move may not read a result an earlier
-    // move of the same edge already wrote.
-    let clobbers =
-        moves.iter().enumerate().any(|(i, &(_, src))| moves[..i].iter().any(|&(d, _)| d == src));
-    if clobbers {
-        let stage = p.slots as u32;
-        p.slots += moves.len();
-        p.moves.extend(moves.iter().enumerate().map(|(i, &(_, src))| (stage + i as u32, src)));
-        p.moves.extend(moves.iter().enumerate().map(|(i, &(dst, _))| (dst, stage + i as u32)));
-    } else {
-        p.moves.extend(moves);
-    }
-    p.edges.push(Edge {
-        target: target as u32,
-        back: target <= si,
-        moves: (start, p.moves.len() as u32),
-    });
-    Some(p.edges.len() as u32 - 1)
-}
-
 impl Program {
+    /// Register slots a worker needs.
+    pub(super) fn slots(&self) -> usize {
+        self.code.slots
+    }
+
     /// The micro-op a worker's cursor points at, if it is inside the
     /// state's op range.
     fn op_at(&self, w: &Worker) -> Option<MicroOp> {
         let st = &self.states[w.state];
-        self.ops[st.start as usize..st.end as usize].get(w.cursor).copied()
+        self.code.ops[st.start as usize..st.end as usize].get(w.cursor).copied()
     }
 }
 
@@ -344,7 +128,7 @@ fn put(
             *r = Some(v);
             Ok(())
         }
-        None => Err(malformed(func, p.insts[ix], wi)),
+        None => Err(malformed(func, p.code.insts[ix], wi)),
     }
 }
 
@@ -446,7 +230,7 @@ pub(super) fn step(
     let len = (st.end - st.start) as usize;
     while w.cursor < len {
         let ix = st.start as usize + w.cursor;
-        match p.ops[ix] {
+        match p.code.ops[ix] {
             MicroOp::Nop => {}
             MicroOp::Load { addr, ty, dst } => {
                 let a = get(w, addr, "load address").as_ptr();
@@ -524,8 +308,9 @@ pub(super) fn step(
             MicroOp::StoreLiveout { slot, value } => {
                 liveouts[slot as usize] = Some(get(w, value, OPERAND));
             }
-            MicroOp::Unsupported => {
-                return Err(HwError::Unsupported(format!("{:?}", func.inst(p.insts[ix]).op)));
+            MicroOp::Fork { .. } | MicroOp::Join | MicroOp::RetrieveLiveout { .. } => {
+                let op = &func.inst(p.code.insts[ix]).op;
+                return Err(HwError::Unsupported(format!("{op:?}")));
             }
         }
         w.cursor += 1;
@@ -547,16 +332,16 @@ pub(super) fn step(
             w.state += 1;
             w.entered = false;
         }
-        Exit::Jump(e) => take(p, w, e),
+        Exit::Jump(e) => take(p, func, fsm, w, e),
         Exit::Branch { cond, on_true, on_false } => {
             let e = if get(w, cond, "branch condition").as_bool() { on_true } else { on_false };
-            take(p, w, e);
+            take(p, func, fsm, w, e);
         }
         Exit::Ret { value } => {
             w.ret = (value != NONE).then(|| get(w, value, "return value"));
             w.finished = true;
         }
-        Exit::Interpret => advance(func, fsm, w),
+        Exit::Malformed => advance(func, fsm, w),
     }
     Ok(StepOutcome::Active)
 }
@@ -564,11 +349,15 @@ pub(super) fn step(
 /// Expect message of a datapath operand read.
 const OPERAND: &str = "operand evaluated in schedule order";
 
-/// Take edge `e`: phi moves, iteration count, next state.
+/// Take edge `e`: phi moves, iteration count, next state. An edge that
+/// could not be lowered goes through the interpreter's `advance`.
 #[inline]
-fn take(p: &Program, w: &mut Worker, e: u32) {
-    let edge = p.edges[e as usize];
-    for &(dst, src) in &p.moves[edge.moves.0 as usize..edge.moves.1 as usize] {
+fn take(p: &Program, func: &Function, fsm: &Fsm, w: &mut Worker, e: u32) {
+    if e == NONE {
+        return advance(func, fsm, w);
+    }
+    let edge = p.code.edges[e as usize];
+    for &(dst, src) in &p.code.moves[edge.moves.0 as usize..edge.moves.1 as usize] {
         w.vals[dst as usize] = Some(get(w, src, "incoming"));
     }
     if edge.back {

@@ -16,7 +16,9 @@
 //! Supporting substrates: [`mem`] (byte-addressable simulated memory and
 //! allocator), [`cache`] (direct-mapped, 512-line × 128-byte, banked
 //! multi-port D-cache with a request crossbar), [`fifo`] (queue sets),
-//! [`exec`] (bit-accurate operation semantics), [`stats`].
+//! [`exec`] (bit-accurate operation semantics), [`stats`]. The interpreter
+//! and the event-driven hardware engine run one shared micro-op lowering
+//! (the private `micro` module).
 
 pub mod cache;
 pub mod diff;
@@ -26,6 +28,7 @@ pub mod fifo;
 pub mod hw;
 pub mod interp;
 pub mod mem;
+mod micro;
 pub mod mips;
 pub mod stats;
 pub mod trace;

@@ -83,11 +83,24 @@ impl SimMemory {
     /// Panics on out-of-range access.
     #[must_use]
     pub fn read_value(&self, addr: u32, ty: Ty) -> Value {
-        let size = ty.size_bytes();
-        let raw = self.read_bytes(addr, size);
-        let mut bits = [0u8; 8];
-        bits[..size as usize].copy_from_slice(raw);
-        Value::from_bits(ty, u64::from_le_bytes(bits))
+        match ty {
+            Ty::I1 => Value::I1(self.load::<1>(addr)[0] & 1 != 0),
+            Ty::I32 => Value::I32(i32::from_le_bytes(self.load(addr))),
+            Ty::I64 => Value::I64(i64::from_le_bytes(self.load(addr))),
+            Ty::F32 => Value::F32(f32::from_le_bytes(self.load(addr))),
+            Ty::F64 => Value::F64(f64::from_le_bytes(self.load(addr))),
+            Ty::Ptr => Value::Ptr(u32::from_le_bytes(self.load(addr))),
+        }
+    }
+
+    /// The `N` bytes at `addr`, read with a size known at compile time.
+    #[inline]
+    fn load<const N: usize>(&self, addr: u32) -> [u8; N] {
+        let a = addr as usize;
+        match self.bytes.get(a..a + N) {
+            Some(raw) => raw.try_into().expect("slice of length N"),
+            None => panic!("read out of range at {addr:#x}+{N}"),
+        }
     }
 
     /// Typed write.
@@ -95,9 +108,14 @@ impl SimMemory {
     /// # Panics
     /// Panics on out-of-range access.
     pub fn write_value(&mut self, addr: u32, value: Value) {
-        let size = value.ty().size_bytes() as usize;
-        let bits = value.to_bits().to_le_bytes();
-        self.write_bytes(addr, &bits[..size]);
+        match value {
+            Value::I1(b) => self.write_bytes(addr, &[u8::from(b)]),
+            Value::I32(v) => self.write_bytes(addr, &v.to_le_bytes()),
+            Value::I64(v) => self.write_bytes(addr, &v.to_le_bytes()),
+            Value::F32(v) => self.write_bytes(addr, &v.to_le_bytes()),
+            Value::F64(v) => self.write_bytes(addr, &v.to_le_bytes()),
+            Value::Ptr(v) => self.write_bytes(addr, &v.to_le_bytes()),
+        }
     }
 
     /// Convenience typed accessors used by workload generators.
