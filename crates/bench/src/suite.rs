@@ -1,5 +1,5 @@
-//! Benchmark suite assembly shared by the `experiments` binary and the
-//! Criterion benches.
+//! Benchmark suite assembly for the `experiments` binary (perfbench also
+//! reads `has_p2`).
 
 use cgpa::compiler::CgpaConfig;
 use cgpa::flows::{run_cgpa, run_cgpa_tuned, run_legup, run_mips, FlowError, HwTuning};

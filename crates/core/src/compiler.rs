@@ -1,23 +1,20 @@
 //! The CGPA compiler driver (paper Figure 3's analysis/transform/backend
 //! pipeline).
 
-use cgpa_analysis::classify::SccClassification;
-use cgpa_analysis::obs::{
-    build_pdg_traced, classify_traced, condensation_traced, points_to_traced,
+use cgpa_analysis::{
+    build_pdg, classify_sccs, Condensation, DepKind, MemoryModel, Pdg, PointsTo, SccClass,
+    SccClassification,
 };
-use cgpa_analysis::{Condensation, MemoryModel, Pdg};
 use cgpa_ir::cfg::Cfg;
 use cgpa_ir::dom::DomTree;
-use cgpa_ir::loops::LoopInfo;
+use cgpa_ir::loops::{Loop, LoopInfo};
 use cgpa_ir::Function;
-use cgpa_obs::Track;
-use cgpa_pipeline::obs::{partition_traced, transform_traced};
+use cgpa_obs::{Span, Track};
 use cgpa_pipeline::transform::TransformConfig;
 use cgpa_pipeline::{
-    PartitionConfig, PartitionError, PipelineModule, PipelinePlan, ReplicablePlacement, StageKind,
-    TransformError,
+    partition_loop, transform_loop, PartitionConfig, PartitionError, PipelineModule, PipelinePlan,
+    ReplicablePlacement, StageKind, TransformError,
 };
-use cgpa_rtl::obs::{emit_worker_traced, schedule_traced};
 use cgpa_rtl::schedule::try_schedule_function;
 use cgpa_rtl::{verilog, Fsm};
 use std::error::Error;
@@ -209,64 +206,154 @@ impl CgpaCompiler {
         self.compile_inner(func, model, None)
     }
 
-    /// [`CgpaCompiler::compile`] with every phase recorded as a span on
-    /// `track` (alias → PDG → SCC condensation → classification →
-    /// partition → transform → per-task FSM scheduling), each annotated
-    /// with its artifact sizes. The compiled result is identical to the
-    /// untraced flow.
-    ///
-    /// # Errors
-    /// See [`CompileError`].
-    pub fn compile_traced(
-        &self,
-        func: &Function,
-        model: &MemoryModel,
-        track: &Track,
-    ) -> Result<Compiled, CompileError> {
-        self.compile_inner(func, model, Some(track))
-    }
-
-    fn compile_inner(
+    /// [`CgpaCompiler::compile`], with every phase recorded as a span on
+    /// `obs` when it is given (see [`CgpaCompiler::compile_loop`]) inside
+    /// one `compile <fn>` span. The compiled result is identical either way.
+    pub(crate) fn compile_inner(
         &self,
         func: &Function,
         model: &MemoryModel,
         obs: Option<&Track>,
     ) -> Result<Compiled, CompileError> {
-        let compile_span = obs.map(|t| {
-            let s = t.span(format!("compile {}", func.name), "compile");
-            s.arg("workers", self.config.workers);
-            s
-        });
-        let cfg = Cfg::new(func);
-        let dom = DomTree::dominators(func, &cfg);
-        let li = LoopInfo::compute(func, &cfg, &dom);
-        let target = li.single_outermost().ok_or(CompileError::NoTargetLoop)?;
-        let pt = points_to_traced(func, model, obs);
-        let pdg = build_pdg_traced(func, &cfg, target, &pt, model, obs);
-        let condensation = condensation_traced(&pdg, obs);
-        let classification = classify_traced(func, &pdg, &condensation, obs);
+        phase(
+            obs,
+            format_args!("compile {}", func.name),
+            "compile",
+            || {
+                let cfg = Cfg::new(func);
+                let dom = DomTree::dominators(func, &cfg);
+                let li = LoopInfo::compute(func, &cfg, &dom);
+                let target = li.single_outermost().ok_or(CompileError::NoTargetLoop)?;
+                self.compile_loop(func, &cfg, target, 0, model, obs)
+            },
+            |s, compiled| {
+                s.arg("workers", self.config.workers);
+                if let Ok(c) = compiled {
+                    s.arg("shape", c.shape.as_str());
+                    s.arg("fsm_states_total", c.fsms.iter().map(|f| f.states.len()).sum::<usize>());
+                }
+            },
+        )
+    }
+
+    /// The paper's Figure 3 flow for one outermost loop `target` of `func`:
+    /// alias → PDG → SCC condensation → classification → partition →
+    /// transform → per-task FSM scheduling. With `obs`, each phase is a span
+    /// on it annotated with its artifact sizes (a failing phase records its
+    /// error instead).
+    fn compile_loop(
+        &self,
+        func: &Function,
+        cfg: &Cfg,
+        target: &Loop,
+        loop_id: u32,
+        model: &MemoryModel,
+        obs: Option<&Track>,
+    ) -> Result<Compiled, CompileError> {
+        let pt = phase(
+            obs,
+            "alias",
+            "analysis",
+            || PointsTo::compute(func, model),
+            |s, _| {
+                s.arg("regions", model.regions().len());
+                s.arg("values", func.values.len());
+            },
+        );
+        let pdg = phase(
+            obs,
+            "pdg",
+            "analysis",
+            || build_pdg(func, cfg, target, &pt, model),
+            |s, pdg| {
+                s.arg("nodes", pdg.nodes.len());
+                s.arg("edges", pdg.edges.len());
+                s.arg("loop_carried_edges", pdg.edges.iter().filter(|e| e.loop_carried).count());
+                s.arg(
+                    "memory_edges",
+                    pdg.edges.iter().filter(|e| e.kind == DepKind::Memory).count(),
+                );
+            },
+        );
+        let condensation = phase(
+            obs,
+            "scc condense",
+            "analysis",
+            || Condensation::compute(&pdg),
+            |s, cond| {
+                s.arg("sccs", cond.len());
+                s.arg("dag_edges", cond.edges.len());
+                s.arg("largest_scc", cond.sccs.iter().map(Vec::len).max().unwrap_or(0));
+            },
+        );
+        let classification = phase(
+            obs,
+            "scc classify",
+            "analysis",
+            || classify_sccs(func, &pdg, &condensation),
+            |s, classification| {
+                let classes = classification.classes();
+                let count = |letter: char| classes.iter().filter(|c| c.letter() == letter).count();
+                s.arg("parallel", count('P'));
+                s.arg("replicable", count('R'));
+                s.arg("sequential", count('S'));
+                s.arg(
+                    "lightweight_replicable",
+                    classes
+                        .iter()
+                        .filter(|c| matches!(c, SccClass::Replicable { lightweight: true }))
+                        .count(),
+                );
+            },
+        );
         let mut pconfig = self.config.partition;
         pconfig.placement = self.config.placement;
-        let plan = partition_traced(func, &pdg, &condensation, &classification, pconfig, obs)?;
-        let shape = plan.shape();
-        let pipeline = transform_traced(
-            func,
-            &cfg,
-            target,
-            &pdg,
-            &condensation,
-            &plan,
-            TransformConfig { workers: self.config.workers, loop_id: 0 },
+        let plan = phase(
             obs,
+            "partition",
+            "pipeline",
+            || partition_loop(func, &pdg, &condensation, &classification, pconfig),
+            or_error(|s, plan: &PipelinePlan| {
+                s.arg("shape", plan.shape());
+                s.arg("stages", plan.stages.len());
+                s.arg(
+                    "parallel_stages",
+                    plan.stages.iter().filter(|st| st.kind == StageKind::Parallel).count(),
+                );
+                s.arg("duplicated_sccs", plan.duplicated.len());
+            }),
+        )?;
+        let shape = plan.shape();
+        let pipeline = phase(
+            obs,
+            "transform",
+            "pipeline",
+            || {
+                let config = TransformConfig { workers: self.config.workers, loop_id };
+                transform_loop(func, cfg, target, &pdg, &condensation, &plan, config)
+            },
+            or_error(|s, pipeline: &PipelineModule| {
+                s.arg("tasks", pipeline.tasks.len());
+                s.arg("queues", pipeline.queues.len());
+                s.arg("workers", pipeline.workers);
+                s.arg("live_ins", pipeline.live_ins.len());
+                s.arg("liveouts", pipeline.liveouts.len());
+            }),
         )?;
         let mut fsms = Vec::new();
         for f in &pipeline.module.funcs {
-            let fsm = schedule_traced(f, obs).map_err(|e| CompileError::Schedule(e.to_string()))?;
+            let fsm = phase(
+                obs,
+                format_args!("schedule {}", f.name),
+                "rtl",
+                || try_schedule_function(f),
+                or_error(|s, fsm: &Fsm| {
+                    s.arg("fsm_states", fsm.states.len());
+                    s.arg("blocks", f.blocks.len());
+                }),
+            )
+            .map_err(|e| CompileError::Schedule(e.to_string()))?;
             fsms.push(fsm);
-        }
-        if let Some(s) = &compile_span {
-            s.arg("shape", shape.as_str());
-            s.arg("fsm_states_total", fsms.iter().map(|f| f.states.len()).sum::<usize>());
         }
         Ok(Compiled { pipeline, plan, shape, fsms, pdg, condensation, classification })
     }
@@ -327,16 +414,23 @@ impl CgpaCompiler {
         self.emit_verilog_inner(compiled, None)
     }
 
-    /// [`CgpaCompiler::emit_verilog`] with one span per emitted worker
-    /// module (plus an enclosing `verilog` span with the total output size)
-    /// recorded on `track`.
-    #[must_use]
-    pub fn emit_verilog_traced(&self, compiled: &Compiled, track: &Track) -> String {
-        self.emit_verilog_inner(compiled, Some(track))
+    /// [`CgpaCompiler::emit_verilog`], with one `verilog <module>` span per
+    /// emitted worker module inside a `verilog` span with the total output
+    /// size recorded on `obs` when it is given.
+    pub(crate) fn emit_verilog_inner(&self, compiled: &Compiled, obs: Option<&Track>) -> String {
+        phase(
+            obs,
+            "verilog",
+            "rtl",
+            || Self::emit_design(compiled, obs),
+            |s, out| {
+                s.arg("bytes", out.len());
+                s.arg("modules", compiled.pipeline.tasks.len() + 2);
+            },
+        )
     }
 
-    fn emit_verilog_inner(&self, compiled: &Compiled, obs: Option<&Track>) -> String {
-        let span = obs.map(|t| t.span("verilog", "rtl"));
+    fn emit_design(compiled: &Compiled, obs: Option<&Track>) -> String {
         let mut out = String::new();
         out.push_str(&verilog::emit_fifo_library());
         out.push('\n');
@@ -344,7 +438,16 @@ impl CgpaCompiler {
         for task in &compiled.pipeline.tasks {
             let f = &compiled.pipeline.module.funcs[task.func_index];
             let fsm = &compiled.fsms[task.func_index];
-            out.push_str(&emit_worker_traced(f, fsm, &task.name, obs));
+            out.push_str(&phase(
+                obs,
+                format_args!("verilog {}", task.name),
+                "rtl",
+                || verilog::emit_worker(f, fsm, &task.name),
+                |s, text| {
+                    s.arg("bytes", text.len());
+                    s.arg("lines", text.lines().count());
+                },
+            ));
             out.push('\n');
             let count = match task.kind {
                 StageKind::Sequential => 1,
@@ -366,11 +469,33 @@ impl CgpaCompiler {
         out.push_str(&verilog::emit_top(&top_name, &worker_insts, &channels));
         out.push('\n');
         out.push_str(&verilog::emit_testbench(&top_name));
-        if let Some(s) = &span {
-            s.arg("bytes", out.len());
-            s.arg("modules", compiled.pipeline.tasks.len() + 2);
-        }
         out
+    }
+}
+
+/// Run one compile phase, inside a `name` span on `obs` when tracing; `args`
+/// then annotates the span from the phase's result.
+fn phase<T>(
+    obs: Option<&Track>,
+    name: impl fmt::Display,
+    cat: &str,
+    run: impl FnOnce() -> T,
+    args: impl FnOnce(&Span, &T),
+) -> T {
+    let span = obs.map(|t| t.span(name.to_string(), cat));
+    let out = run();
+    if let Some(s) = &span {
+        args(s, &out);
+    }
+    out
+}
+
+/// The span arguments of a fallible phase: `ok`'s on success, the error
+/// otherwise.
+fn or_error<T, E: fmt::Display>(ok: impl FnOnce(&Span, &T)) -> impl FnOnce(&Span, &Result<T, E>) {
+    move |s, result| match result {
+        Ok(v) => ok(s, v),
+        Err(e) => s.arg("error", e.to_string()),
     }
 }
 
@@ -460,45 +585,10 @@ impl CgpaCompiler {
             let dom = DomTree::dominators(&current, &cfg);
             let li = LoopInfo::compute(&current, &cfg, &dom);
             let Some(target) = li.loops().iter().find(|l| l.depth == 1) else { break };
-            let target = target.clone();
-            let pt = points_to_traced(&current, model, None);
-            let pdg = build_pdg_traced(&current, &cfg, &target, &pt, model, None);
-            let condensation = condensation_traced(&pdg, None);
-            let classification = classify_traced(&current, &pdg, &condensation, None);
-            let mut pconfig = self.config.partition;
-            pconfig.placement = self.config.placement;
-            let plan =
-                partition_traced(&current, &pdg, &condensation, &classification, pconfig, None)?;
-            let shape = plan.shape();
-            let pipeline = transform_traced(
-                &current,
-                &cfg,
-                &target,
-                &pdg,
-                &condensation,
-                &plan,
-                TransformConfig {
-                    workers: self.config.workers,
-                    loop_id: accelerators.len() as u32,
-                },
-                None,
-            )?;
-            let mut fsms = Vec::new();
-            for f in &pipeline.module.funcs {
-                let fsm =
-                    try_schedule_function(f).map_err(|e| CompileError::Schedule(e.to_string()))?;
-                fsms.push(fsm);
-            }
-            current = pipeline.parent.clone();
-            accelerators.push(Compiled {
-                pipeline,
-                plan,
-                shape,
-                fsms,
-                pdg,
-                condensation,
-                classification,
-            });
+            let loop_id = accelerators.len() as u32;
+            let compiled = self.compile_loop(&current, &cfg, target, loop_id, model, None)?;
+            current = compiled.pipeline.parent.clone();
+            accelerators.push(compiled);
         }
         if accelerators.is_empty() {
             return Err(CompileError::NoTargetLoop);

@@ -19,7 +19,6 @@ use cgpa_obs::{Recorder, Track};
 use cgpa_pipeline::StageKind;
 use cgpa_rtl::area::{estimate_area, fifo_area, AreaModel, AreaReport};
 use cgpa_rtl::power::{energy_efficiency, evaluate, ActivityTrace, PowerModel, PowerReport};
-use cgpa_rtl::schedule::schedule_function;
 use cgpa_sim::cache::CacheConfig;
 use cgpa_sim::interp::run_with_accelerator;
 use cgpa_sim::mips::{run_mips as sim_run_mips, MipsConfig};
@@ -137,9 +136,8 @@ pub fn run_legup_engine(k: &BuiltKernel, engine: SimEngine) -> Result<RunResult,
     let stats = sys.run(&mut mem)?;
     verify_memory(k, &mem, sys.ret_value(), None)?;
 
-    let fsm = schedule_function(&k.func);
     let amodel = AreaModel::default();
-    let area = estimate_area(&amodel, &k.func, &fsm);
+    let area = estimate_area(&amodel, &k.func, &sys.fsms()[0]);
     let pmodel = PowerModel::default();
     let trace = ActivityTrace {
         cycles: stats.cycles,
@@ -219,20 +217,8 @@ pub fn run_cgpa_tuned(
     run_compiled_tuned(k, &compiled, config, tuning)
 }
 
-/// Run an already-compiled pipeline (lets callers reuse one compile across
-/// sweeps).
-///
-/// # Errors
-/// See [`FlowError`].
-pub fn run_compiled(
-    k: &BuiltKernel,
-    compiled: &Compiled,
-    config: CgpaConfig,
-) -> Result<RunResult, FlowError> {
-    run_compiled_tuned(k, compiled, config, HwTuning::default())
-}
-
-/// [`run_compiled`] with explicit microarchitectural knobs.
+/// Run an already-compiled pipeline with explicit microarchitectural knobs
+/// (lets callers reuse one compile across sweeps).
 ///
 /// # Errors
 /// See [`FlowError`].
@@ -442,10 +428,10 @@ pub fn run_cgpa_traced(
     recorder.name_thread(1, 1, "compiler");
     let track = Track { rec: recorder.clone(), pid: 1, tid: 1 };
     let compiler = CgpaCompiler::new(config);
-    let compiled = compiler.compile_traced(&k.func, &k.model, &track)?;
+    let compiled = compiler.compile_inner(&k.func, &k.model, Some(&track))?;
     // Emit (and discard) the Verilog so the backend's span shows up on the
     // compile track; callers wanting the text can re-emit from `compiled`.
-    let _ = compiler.emit_verilog_traced(&compiled, &track);
+    let _ = compiler.emit_verilog_inner(&compiled, Some(&track));
     let (result, _) = run_compiled_impl(k, &compiled, config, tuning, None, Some(&recorder), None)?;
     Ok(TracedRun { result, recorder })
 }

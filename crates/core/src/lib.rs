@@ -49,8 +49,8 @@ pub use dse::{
 pub use flows::{
     next_tune_step, run_cgpa, run_cgpa_degraded, run_cgpa_dse, run_cgpa_profiled, run_cgpa_traced,
     run_cgpa_tuned, run_cgpa_tuned_auto, run_cgpa_with_faults, run_cgpa_with_faults_tuned,
-    run_compiled, run_compiled_tuned, run_legup, run_legup_engine, run_mips, FlowError, HwTuning,
-    ProfiledRun, RunResult, TracedRun, TuneOutcome, TuneStep, TUNE_MIN_GAIN,
+    run_compiled_tuned, run_legup, run_legup_engine, run_mips, FlowError, HwTuning, ProfiledRun,
+    RunResult, TracedRun, TuneOutcome, TuneStep, TUNE_MIN_GAIN,
 };
 pub use profile::{Bottleneck, MemoryProfile, Profile, QueueProfile, StageProfile};
 pub use report::{geomean, pipeline_summary, BenchmarkReport};

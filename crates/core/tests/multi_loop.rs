@@ -3,8 +3,12 @@
 //! exercising scheduling constraints 1 and 2 (eqs. 1–2) end to end.
 
 use cgpa::compiler::{CgpaCompiler, CgpaConfig};
+use cgpa::dse::schedule_hash;
 use cgpa_analysis::MemoryModel;
+use cgpa_ir::printer::print_function;
 use cgpa_ir::{builder::FunctionBuilder, inst::IntPredicate, BinOp, Function, Op, Ty};
+use cgpa_kernels::{em3d, gaussblur, hash_index, kmeans, ks};
+use cgpa_pipeline::ReplicablePlacement;
 use cgpa_sim::interp::{run_function, NoHooks};
 use cgpa_sim::{run_with_accelerator, HwConfig, HwSystem, SimMemory, Value};
 
@@ -149,4 +153,33 @@ fn loopless_program_is_rejected() {
     let f = b.finish().unwrap();
     let err = CgpaCompiler::default().compile_program(&f, &MemoryModel::new());
     assert!(matches!(err, Err(cgpa::compiler::CompileError::NoTargetLoop)));
+}
+
+/// On a single-loop kernel, compiling the whole program is the same
+/// compile: one accelerator with the same Verilog, schedules and shape, and
+/// the same rewritten parent.
+#[test]
+fn compile_program_equals_compile_on_a_single_loop() {
+    // The `KernelSet::Quick` inputs of the experiments harness.
+    let kernels = [
+        kmeans::build(&kmeans::Params { points: 64, clusters: 4, features: 8 }, 1),
+        hash_index::build(&hash_index::Params { items: 256, buckets: 64, scatter: 24 }, 1),
+        ks::build(&ks::Params { a_cells: 24, b_cells: 24, scatter: 16 }, 1),
+        em3d::build(&em3d::Params::fixed(128, 128, 8, 32), 1),
+        gaussblur::build(&gaussblur::Params { width: 512 }, 1),
+    ];
+    for placement in [ReplicablePlacement::Pipelined, ReplicablePlacement::Replicated] {
+        let compiler = CgpaCompiler::new(CgpaConfig { placement, ..CgpaConfig::default() });
+        for k in &kernels {
+            let what = format!("{} {placement:?}", k.name);
+            let compiled = compiler.compile(&k.func, &k.model).expect(&what);
+            let prog = compiler.compile_program(&k.func, &k.model).expect(&what);
+            let [acc] = &prog.accelerators[..] else { panic!("{what}: one accelerator") };
+            assert_eq!(acc.shape, compiled.shape, "{what}");
+            assert_eq!(schedule_hash(acc), schedule_hash(&compiled), "{what}");
+            assert_eq!(compiler.emit_verilog(acc), compiler.emit_verilog(&compiled), "{what}");
+            let parent = print_function(&compiled.pipeline.parent);
+            assert_eq!(print_function(&prog.parent), parent, "{what}");
+        }
+    }
 }

@@ -104,14 +104,15 @@ fn compile_track_carries_every_phase_span() {
     let run = traced(k, SimEngine::EventDriven);
     let doc = Json::parse(&run.recorder.to_chrome_json()).unwrap();
     let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
-    let compile_spans: Vec<&str> = events
+    let begins: Vec<&Json> = events
         .iter()
         .filter(|e| {
             e.get("ph").and_then(Json::as_str) == Some("B")
                 && e.get("pid").and_then(Json::as_u64) == Some(1)
         })
-        .filter_map(|e| e.get("name").and_then(Json::as_str))
         .collect();
+    let compile_spans: Vec<&str> =
+        begins.iter().filter_map(|e| e.get("name").and_then(Json::as_str)).collect();
     for phase in
         ["compile kmeans", "alias", "pdg", "scc condense", "scc classify", "partition", "transform"]
     {
@@ -122,6 +123,31 @@ fn compile_track_carries_every_phase_span() {
     }
     assert!(compile_spans.iter().any(|n| n.starts_with("schedule ")), "no schedule span");
     assert!(compile_spans.iter().any(|n| n.starts_with("verilog")), "no verilog span");
+
+    // Every compile-track span carries exactly its phase's artifact sizes,
+    // in this order.
+    for ev in begins {
+        let name = ev.get("name").and_then(Json::as_str).unwrap();
+        let expected: &[&str] = match name {
+            "compile kmeans" => &["workers", "shape", "fsm_states_total"],
+            "alias" => &["regions", "values"],
+            "pdg" => &["nodes", "edges", "loop_carried_edges", "memory_edges"],
+            "scc condense" => &["sccs", "dag_edges", "largest_scc"],
+            "scc classify" => &["parallel", "replicable", "sequential", "lightweight_replicable"],
+            "partition" => &["shape", "stages", "parallel_stages", "duplicated_sccs"],
+            "transform" => &["tasks", "queues", "workers", "live_ins", "liveouts"],
+            "verilog" => &["bytes", "modules"],
+            n if n.starts_with("schedule ") => &["fsm_states", "blocks"],
+            n if n.starts_with("verilog ") => &["bytes", "lines"],
+            other => panic!("unexpected compile span `{other}`"),
+        };
+        let keys: Vec<&str> = ev
+            .get("args")
+            .and_then(Json::as_obj)
+            .map(|args| args.iter().map(|(k, _)| k.as_str()).collect())
+            .unwrap_or_default();
+        assert_eq!(keys, expected, "argument keys of compile span `{name}`");
+    }
 }
 
 #[test]
