@@ -280,9 +280,7 @@ impl BenchEntry {
 /// Harness self-benchmark: wall-clock compile+sim per kernel under both
 /// simulation engines, plus simulated cycles and speedup over LegUp.
 fn bench(set: KernelSet, json: bool, label: &str) {
-    use cgpa::flows::{
-        run_cgpa_tuned_auto, run_compiled_tuned, run_legup_engine, HwTuning, TUNE_MIN_GAIN,
-    };
+    use cgpa::flows::{run, run_cgpa_tuned_auto, run_legup_engine, Design, HwTuning, RunSpec};
     use cgpa_sim::cache::CacheConfig;
     use cgpa_sim::{HwConfig, HwSystem, SimEngine};
 
@@ -321,11 +319,13 @@ fn bench(set: KernelSet, json: bool, label: &str) {
                         eprintln!("{}: legup failed: {e}", k.name);
                         std::process::exit(1);
                     });
-                    let cgpa = run_compiled_tuned(k, &compiled, cfg, tuning).unwrap_or_else(|e| {
+                    let design = Design::Compiled(&compiled);
+                    let spec = RunSpec { config: cfg, tuning, design, ..RunSpec::default() };
+                    let cgpa = run(k, &spec).unwrap_or_else(|e| {
                         eprintln!("{}: cgpa failed: {e}", k.name);
                         std::process::exit(1);
                     });
-                    (legup, cgpa)
+                    (legup, cgpa.result)
                 });
                 (ms, legup, cgpa)
             };
@@ -374,11 +374,10 @@ fn bench(set: KernelSet, json: bool, label: &str) {
                 cache_lines: HIMEM_CACHE_LINES,
                 ..HwTuning::default()
             };
-            let tuned =
-                run_cgpa_tuned_auto(k, cfg, himem_tuning, TUNE_MIN_GAIN).unwrap_or_else(|e| {
-                    eprintln!("{}: auto-tune failed: {e}", k.name);
-                    std::process::exit(1);
-                });
+            let tuned = run_cgpa_tuned_auto(k, cfg, himem_tuning).unwrap_or_else(|e| {
+                eprintln!("{}: auto-tune failed: {e}", k.name);
+                std::process::exit(1);
+            });
 
             let skipped = legup_ev.stats.as_ref().map_or(0, |s| s.skipped_cycles)
                 + cgpa_ev.stats.as_ref().map_or(0, |s| s.skipped_cycles);
@@ -394,10 +393,10 @@ fn bench(set: KernelSet, json: bool, label: &str) {
                 himem_ms_reference,
                 himem_cycles: himem_cyc_ev,
                 himem_cgpa_cycles: tuned.baseline_cycles,
-                himem_tuned_cycles: tuned.best.result.cycles,
-                tuned_workers: tuned.best.profile.workers,
-                tuned_fifo_depth_beats: tuned.best.profile.fifo_depth_beats,
-                tuned_bottleneck: tuned.best.profile.bottleneck_summary(),
+                himem_tuned_cycles: tuned.best.cycles,
+                tuned_workers: tuned.profile.workers,
+                tuned_fifo_depth_beats: tuned.profile.fifo_depth_beats,
+                tuned_bottleneck: tuned.profile.bottleneck_summary(),
             };
             println!(
                 "{:<14} {:>8.1}ms {:>8.1}ms {:>8.1}ms {:>8.2}x {:>8.2}x {:>12} {:>12} {:>8.2}x",
@@ -494,24 +493,24 @@ fn bench_json(label: &str, set: KernelSet, entries: &[BenchEntry], total_wall_ms
 /// and render the stage/queue/memory profile with the limiting-resource
 /// verdict. With `json`, also write `PROFILE_<label>.json`.
 fn profile_cmd(set: KernelSet, json: bool, label: &str) {
-    use cgpa::flows::{run_cgpa_profiled, HwTuning};
+    use cgpa::flows::{run, RunSpec};
 
     println!("== Profile: per-kernel bottleneck report (CGPA P1, default tuning) ==");
     let kernels = bench_kernels(set, 42);
     let mut profiles = Vec::new();
     let mut csv_rows: Vec<String> = Vec::new();
     for k in &kernels {
-        match run_cgpa_profiled(k, CgpaConfig::default(), HwTuning::default()) {
-            Ok(run) => {
-                print!("{}", run.profile.render());
+        match run(k, &RunSpec::default()).map(|r| r.profile.expect("pipeline runs are profiled")) {
+            Ok(profile) => {
+                print!("{}", profile.render());
                 csv_rows.push(format!(
                     "{},{},{},{:.4}",
                     k.name,
-                    run.profile.bottleneck.tag(),
-                    run.profile.cycles,
-                    run.profile.stages.iter().map(|s| s.utilization).fold(0.0f64, f64::max)
+                    profile.bottleneck.tag(),
+                    profile.cycles,
+                    profile.stages.iter().map(|s| s.utilization).fold(0.0f64, f64::max)
                 ));
-                profiles.push(run.profile);
+                profiles.push(profile);
             }
             Err(e) => println!("{}: failed: {e}", k.name),
         }
@@ -582,7 +581,7 @@ fn dse_point_json(o: &cgpa::dse::DseOutcome, indent: &str) -> String {
 /// re-run. With `json`, writes `DSE_<label>.json`.
 fn dse_cmd(set: KernelSet, json: bool, label: &str) {
     use cgpa::dse::{CompileCache, DseLattice, DEFAULT_AREA_BUDGET_ALUT};
-    use cgpa::flows::{run_cgpa_dse, run_compiled_tuned, HwTuning};
+    use cgpa::flows::{run, run_cgpa_dse, Design, HwTuning, RunSpec};
 
     let budget = DEFAULT_AREA_BUDGET_ALUT;
     let lattice = if set == KernelSet::Quick { DseLattice::quick() } else { DseLattice::default() };
@@ -631,8 +630,10 @@ fn dse_cmd(set: KernelSet, json: bool, label: &str) {
             };
             let after = cache.stats();
             let warm = after.hits > before.hits && after.compiles == before.compiles;
-            match run_compiled_tuned(k, &design, cfg, rec.point.tuning(&env)) {
-                Ok(rr) => warm && rr.cycles == rec.cycles,
+            let (tuning, design) = (rec.point.tuning(&env), Design::Compiled(&design));
+            let spec = RunSpec { config: cfg, tuning, design, ..RunSpec::default() };
+            match run(k, &spec) {
+                Ok(rr) => warm && rr.result.cycles == rec.cycles,
                 Err(_) => false,
             }
         });
@@ -726,7 +727,7 @@ fn dse_cmd(set: KernelSet, json: bool, label: &str) {
 /// Run one kernel end to end with structured tracing and write the
 /// Chrome-trace JSON to `out` (load it at <https://ui.perfetto.dev>).
 fn trace_cmd(set: KernelSet, kernel: &str, out: &str) {
-    use cgpa::flows::{run_cgpa_traced, HwTuning};
+    use cgpa::flows::{run, RunSpec};
 
     let kernels = bench_kernels(set, 42);
     let Some(k) = kernels.iter().find(|k| k.name == kernel) else {
@@ -734,10 +735,11 @@ fn trace_cmd(set: KernelSet, kernel: &str, out: &str) {
         eprintln!("unknown kernel `{kernel}`; available: {}", names.join(", "));
         std::process::exit(2);
     };
-    match run_cgpa_traced(k, CgpaConfig::default(), HwTuning::default()) {
+    match run(k, &RunSpec { trace: true, ..RunSpec::default() }) {
         Ok(traced) => {
-            let events = traced.recorder.events().len();
-            std::fs::write(out, traced.recorder.to_chrome_json()).expect("write trace json");
+            let recorder = traced.recorder.expect("traced runs carry a recorder");
+            let events = recorder.events().len();
+            std::fs::write(out, recorder.to_chrome_json()).expect("write trace json");
             println!(
                 "{}: {} in {} cycles (shape {})",
                 k.name,

@@ -2,7 +2,9 @@
 //! reads `has_p2`).
 
 use cgpa::compiler::CgpaConfig;
-use cgpa::flows::{run_cgpa, run_cgpa_tuned, run_legup, run_mips, FlowError, HwTuning};
+use cgpa::flows::{
+    run, run_cgpa, run_cgpa_tuned, run_legup, run_mips, Design, FlowError, HwTuning, RunSpec,
+};
 use cgpa::report::BenchmarkReport;
 use cgpa_kernels::{em3d, gaussblur, hash_index, kmeans, ks, BuiltKernel};
 use cgpa_pipeline::ReplicablePlacement;
@@ -123,24 +125,11 @@ pub fn miss_latency_sweep(
     k: &BuiltKernel,
     latencies: &[u32],
 ) -> Result<Vec<(u32, u64, u64)>, FlowError> {
-    use cgpa_sim::cache::CacheConfig;
-    use cgpa_sim::{HwConfig, HwSystem};
     par_map(latencies, |&ml| {
-        // LegUp at this latency.
-        let mut mem = k.mem.clone();
-        let cfg = HwConfig {
-            cache: CacheConfig { banks: 1, miss_latency: ml, ..CacheConfig::default() },
-            ..HwConfig::default()
-        };
-        let mut sys = HwSystem::for_single(&k.func, &k.args, cfg);
-        let legup = sys.run(&mut mem).map_err(cgpa::flows::FlowError::Hw)?.cycles;
-        let cgpa = run_cgpa_tuned(
-            k,
-            CgpaConfig::default(),
-            HwTuning { miss_latency: ml, ..HwTuning::default() },
-        )?
-        .cycles;
-        Ok((ml, legup, cgpa))
+        let tuning = HwTuning { miss_latency: ml, ..HwTuning::default() };
+        let legup = run(k, &RunSpec { tuning, design: Design::Sequential, ..RunSpec::default() })?;
+        let cgpa = run_cgpa_tuned(k, CgpaConfig::default(), tuning)?;
+        Ok((ml, legup.result.cycles, cgpa.cycles))
     })
     .into_iter()
     .collect()

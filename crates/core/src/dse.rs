@@ -11,14 +11,17 @@
 //! [`CgpaConfig`]) pay for compilation once via a content-hash
 //! [`CompileCache`]. The result is the 3-objective Pareto frontier plus a
 //! recommended point under an area budget (the DE4/Stratix IV envelope of
-//! the paper's evaluation, [`DE4_ALUT_BUDGET`]).
+//! the paper's evaluation, [`DE4_ALUT_BUDGET`]). The entry point is
+//! [`crate::flows::run_cgpa_dse`]; every point runs through the one run
+//! path of [`crate::flows::run`] as a precompiled
+//! [`Design::Compiled`].
 //!
 //! By construction the default lattice is a superset of the tuner's
 //! reachable configurations, so the explorer's best-cycles point matches or
 //! beats the tuner on every kernel (locked in by `tests/dse.rs`).
 
 use crate::compiler::{CgpaCompiler, CgpaConfig, CompileError, Compiled};
-use crate::flows::{reference, run_compiled_impl, FlowError, HwTuning};
+use crate::flows::{reference, run_with, Design, FlowError, HwTuning, RunSpec};
 use cgpa_ir::printer::print_function;
 use cgpa_ir::Function;
 use cgpa_kernels::BuiltKernel;
@@ -402,7 +405,7 @@ fn outcome_of(point: DsePoint, r: &crate::flows::RunResult) -> DseOutcome {
 /// Explore `lattice` for kernel `k`: compile each distinct configuration
 /// once through `cache`, simulate every point concurrently, and report the
 /// 3-objective Pareto frontier plus a recommendation under
-/// `area_budget_alut`. Partition heuristics come from `base`; miss latency
+/// `area_budget_alut`. Partition heuristics are the defaults; miss latency
 /// and simulation engine come from `env`.
 ///
 /// Points with invalid cache geometry (a zero on a sweep axis) are
@@ -416,10 +419,9 @@ fn outcome_of(point: DsePoint, r: &crate::flows::RunResult) -> DseOutcome {
 /// [`FlowError::Interp`] when the reference cannot be computed; per-point
 /// failures (compile or simulate) are recorded in [`DseReport::skipped`]
 /// instead.
-pub fn explore(
+pub(crate) fn explore(
     k: &BuiltKernel,
     lattice: &DseLattice,
-    base: CgpaConfig,
     env: HwTuning,
     area_budget_alut: u32,
     cache: &CompileCache,
@@ -442,7 +444,7 @@ pub fn explore(
     // Group points by compiler config: each group shares one design.
     let mut groups: Vec<(CgpaConfig, Vec<DsePoint>)> = Vec::new();
     for p in points {
-        let cfg = p.config(&base);
+        let cfg = p.config(&CgpaConfig::default());
         match groups.iter_mut().find(|(c, _)| *c == cfg) {
             Some((_, ps)) => ps.push(p),
             None => groups.push((cfg, vec![p])),
@@ -468,8 +470,10 @@ pub fn explore(
     // Every point is verified in full against one reference.
     let reference = if sims.is_empty() { None } else { Some(reference(k)?) };
     let runs = par_map_capped(&sims, cap, |(p, cfg, design)| {
-        run_compiled_impl(k, design, *cfg, p.tuning(&env), None, None, reference.as_ref())
-            .map(|(r, _)| outcome_of(*p, &r))
+        let design = Design::Compiled(design);
+        let spec = RunSpec { config: *cfg, tuning: p.tuning(&env), design, ..RunSpec::default() };
+        run_with(k, &spec, reference.as_ref())
+            .map(|run| outcome_of(*p, &run.result))
             .map_err(|e| e.to_string())
     });
     let mut evaluated: Vec<DseOutcome> = Vec::new();

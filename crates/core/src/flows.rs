@@ -1,13 +1,18 @@
 //! The three evaluation configurations of paper §4.1:
 //!
-//! 1. **MIPS** — the kernel runs on the MIPS soft core.
+//! 1. **MIPS** — the kernel runs on the MIPS soft core ([`run_mips`]).
 //! 2. **LegUp** — sequential HLS: the whole kernel becomes one FSM worker
-//!    with one cache port.
+//!    with one cache port ([`Design::Sequential`]).
 //! 3. **CGPA** — the coarse-grained pipeline (P1 or P2), with one cache
-//!    port per worker.
+//!    port per worker (every other [`Design`]).
 //!
-//! Every hardware flow validates the final memory image and return value
-//! against the functional reference before reporting numbers.
+//! Every hardware flow goes through [`run`], driven by a [`RunSpec`]: which
+//! design, the compiler configuration, the microarchitectural tuning, an
+//! optional fault plan, and whether to trace. [`run_cgpa`],
+//! [`run_cgpa_tuned`], [`run_legup`] and [`run_legup_engine`] are
+//! shorthands over it. Every hardware run validates the final memory image
+//! and return value against the functional reference before reporting
+//! numbers.
 
 use crate::compiler::{
     CgpaCompiler, CgpaConfig, CompileError, Compiled, DegradationPolicy, DegradationRung,
@@ -16,9 +21,9 @@ use crate::compiler::{
 use crate::profile::{Bottleneck, Profile};
 use cgpa_kernels::BuiltKernel;
 use cgpa_obs::{Recorder, Track};
-use cgpa_pipeline::StageKind;
+use cgpa_pipeline::{ReplicablePlacement, StageKind};
 use cgpa_rtl::area::{estimate_area, fifo_area, AreaModel, AreaReport};
-use cgpa_rtl::power::{energy_efficiency, evaluate, ActivityTrace, PowerModel, PowerReport};
+use cgpa_rtl::power::{energy_efficiency, evaluate, ActivityTrace, PowerModel};
 use cgpa_sim::cache::CacheConfig;
 use cgpa_sim::interp::run_with_accelerator;
 use cgpa_sim::mips::{run_mips as sim_run_mips, MipsConfig};
@@ -47,7 +52,7 @@ pub struct RunResult {
     /// Detailed simulator statistics, when applicable.
     pub stats: Option<SystemStats>,
     /// Degradation rung the compile landed on (None when the run did not go
-    /// through [`run_cgpa_degraded`]).
+    /// through [`Design::Degrade`]).
     pub rung: Option<DegradationRung>,
 }
 
@@ -110,57 +115,6 @@ pub fn run_mips(k: &BuiltKernel) -> Result<RunResult, FlowError> {
     })
 }
 
-/// Run the kernel as a LegUp-style sequential accelerator: one FSM worker,
-/// one cache port.
-///
-/// # Errors
-/// See [`FlowError`]. The run is verified against the functional reference.
-pub fn run_legup(k: &BuiltKernel) -> Result<RunResult, FlowError> {
-    run_legup_engine(k, SimEngine::default())
-}
-
-/// [`run_legup`] with an explicit simulation engine (the event-driven
-/// scheduler or the per-cycle reference stepper). Used by the differential
-/// test matrix; results must be identical either way.
-///
-/// # Errors
-/// See [`FlowError`].
-pub fn run_legup_engine(k: &BuiltKernel, engine: SimEngine) -> Result<RunResult, FlowError> {
-    let cfg = HwConfig {
-        cache: CacheConfig { banks: 1, ..CacheConfig::default() },
-        engine,
-        ..HwConfig::default()
-    };
-    let mut mem = k.mem.clone();
-    let mut sys = HwSystem::for_single(&k.func, &k.args, cfg);
-    let stats = sys.run(&mut mem)?;
-    verify_memory(k, &mem, sys.ret_value(), None)?;
-
-    let amodel = AreaModel::default();
-    let area = estimate_area(&amodel, &k.func, &sys.fsms()[0]);
-    let pmodel = PowerModel::default();
-    let trace = ActivityTrace {
-        cycles: stats.cycles,
-        workers: vec![(area.clone(), stats.workers[0].busy)],
-        fifo_beats: 0,
-        cache_accesses: stats.cache.accesses,
-        cache_ports: 1,
-        fifo_area: AreaReport::default(),
-    };
-    let power = evaluate(&pmodel, &trace);
-    Ok(RunResult {
-        config: "LegUp".to_string(),
-        cycles: stats.cycles,
-        alut: area.total(),
-        power_mw: power.power_mw,
-        energy_uj: power.energy_uj,
-        efficiency: energy_efficiency(k.iterations, &power),
-        shape: None,
-        stats: Some(stats),
-        rung: None,
-    })
-}
-
 /// Microarchitectural knobs for ablation studies (the paper fixes these in
 /// §4.1: FIFO depth 16, and discusses the memory system in Appendix B).
 #[derive(Debug, Clone, Copy)]
@@ -174,8 +128,9 @@ pub struct HwTuning {
     /// exercised in).
     pub cache_lines: u32,
     /// D-cache banks (ports). `None` derives one port per worker, clamped
-    /// to the 8-port cache of §4.1 — the paper's configuration; the
-    /// design-space explorer sets explicit values to trade ports for area.
+    /// to the 8-port cache of §4.1 — the paper's configuration, and one
+    /// port for the sequential design; the design-space explorer sets
+    /// explicit values to trade ports for area.
     pub cache_banks: Option<u32>,
     /// Simulation engine (event-driven scheduler vs per-cycle reference).
     /// Cycle counts and statistics are identical either way; only wall-clock
@@ -195,6 +150,92 @@ impl Default for HwTuning {
     }
 }
 
+/// The hardware a [`RunSpec`] simulates.
+#[derive(Debug, Clone, Copy, Default)]
+pub enum Design<'a> {
+    /// Compile [`RunSpec::config`] here. With [`RunSpec::trace`], the
+    /// compile phases and the Verilog emission are recorded too.
+    #[default]
+    Compile,
+    /// An already-compiled pipeline (lets sweeps reuse one compile);
+    /// [`RunSpec::config`] must be the configuration it was compiled with.
+    Compiled(&'a Compiled),
+    /// Compile through the graceful-degradation ladder and run whatever
+    /// rung it lands on: a pipeline when possible, the sequential
+    /// accelerator (labelled `CGPA(seq-fallback)`) as the last rung.
+    /// [`RunResult::rung`] records the rung taken.
+    Degrade(DegradationPolicy),
+    /// LegUp-style sequential HLS: the whole kernel as one FSM worker.
+    /// [`RunSpec::config`] is unused.
+    Sequential,
+}
+
+/// Everything one hardware run needs.
+#[derive(Debug, Clone, Default)]
+pub struct RunSpec<'a> {
+    /// Compiler configuration (workers, placement, partition heuristics).
+    pub config: CgpaConfig,
+    /// Microarchitectural knobs.
+    pub tuning: HwTuning,
+    /// What to simulate.
+    pub design: Design<'a>,
+    /// Faults to arm on the simulator. A corrupting fault that the
+    /// hardware catches surfaces as [`FlowError::Hw`] wrapping
+    /// [`HwError::Fault`].
+    pub faults: Option<FaultPlan>,
+    /// Record a structured trace (see [`Run::recorder`]). Tracing changes
+    /// no result.
+    pub trace: bool,
+}
+
+/// What [`run`] returns.
+#[derive(Debug)]
+pub struct Run {
+    /// Cycles, area, power and statistics.
+    pub result: RunResult,
+    /// Stage/queue/memory rollup naming the limiting resource: `Some` for
+    /// every pipeline run, `None` for the sequential design. Profiles are
+    /// engine-independent.
+    pub profile: Option<Profile>,
+    /// The armed fault plan with its fired flags (`None` without faults).
+    pub faults: Option<FaultPlan>,
+    /// The recorder every layer wrote into, `Some` iff [`RunSpec::trace`]:
+    /// process 1 is the compiler (wall-clock µs, only for
+    /// [`Design::Compile`]), processes 2+ are the simulator runs (one
+    /// trace-µs per simulated cycle) with per-iteration spans and FIFO
+    /// occupancy counters. Export with [`Recorder::to_chrome_json`].
+    pub recorder: Option<Recorder>,
+}
+
+/// Run kernel `k` as `spec` describes: compile (unless given a design),
+/// simulate, verify against the functional reference, and estimate area
+/// and power.
+///
+/// # Errors
+/// See [`FlowError`]. [`FlowError::Compile`] from [`Design::Degrade`] means
+/// even the sequential fallback could not be scheduled.
+pub fn run(k: &BuiltKernel, spec: &RunSpec) -> Result<Run, FlowError> {
+    run_with(k, spec, None)
+}
+
+/// Run the kernel as a LegUp-style sequential accelerator: one FSM worker,
+/// one cache port.
+///
+/// # Errors
+/// See [`FlowError`]. The run is verified against the functional reference.
+pub fn run_legup(k: &BuiltKernel) -> Result<RunResult, FlowError> {
+    run_legup_engine(k, SimEngine::default())
+}
+
+/// [`run_legup`] with an explicit simulation engine.
+///
+/// # Errors
+/// See [`FlowError`].
+pub fn run_legup_engine(k: &BuiltKernel, engine: SimEngine) -> Result<RunResult, FlowError> {
+    let tuning = HwTuning { engine, ..HwTuning::default() };
+    run(k, &RunSpec { tuning, design: Design::Sequential, ..RunSpec::default() }).map(|r| r.result)
+}
+
 /// Run the kernel as a CGPA pipelined accelerator.
 ///
 /// # Errors
@@ -212,87 +253,89 @@ pub fn run_cgpa_tuned(
     config: CgpaConfig,
     tuning: HwTuning,
 ) -> Result<RunResult, FlowError> {
-    let compiler = CgpaCompiler::new(config);
-    let compiled = compiler.compile(&k.func, &k.model)?;
-    run_compiled_tuned(k, &compiled, config, tuning)
+    run(k, &RunSpec { config, tuning, ..RunSpec::default() }).map(|r| r.result)
 }
 
-/// Run an already-compiled pipeline with explicit microarchitectural knobs
-/// (lets callers reuse one compile across sweeps).
-///
-/// # Errors
-/// See [`FlowError`].
-pub fn run_compiled_tuned(
+/// [`run`], verified against `reference` when given (callers that verify
+/// several runs of one kernel compute the reference once).
+pub(crate) fn run_with(
     k: &BuiltKernel,
-    compiled: &Compiled,
-    config: CgpaConfig,
-    tuning: HwTuning,
-) -> Result<RunResult, FlowError> {
-    run_compiled_impl(k, compiled, config, tuning, None, None, None).map(|(r, _)| r)
-}
-
-/// Run `compiled` and verify it against `reference`, or against a
-/// reference computed here when none is given. Callers that verify several
-/// runs of one kernel compute the reference once and pass it to each.
-pub(crate) fn run_compiled_impl(
-    k: &BuiltKernel,
-    compiled: &Compiled,
-    config: CgpaConfig,
-    tuning: HwTuning,
-    fault: Option<FaultPlan>,
-    obs: Option<&Recorder>,
+    spec: &RunSpec,
     reference: Option<&Reference>,
-) -> Result<(RunResult, Option<FaultPlan>), FlowError> {
-    // One cache port per worker (paper §3.1: dedicated memory ports), up to
-    // the 8-port cache of §4.1.
-    let worker_count: u32 = compiled
-        .pipeline
-        .tasks
-        .iter()
-        .map(|t| match t.kind {
-            StageKind::Sequential => 1,
-            StageKind::Parallel => compiled.pipeline.workers,
-        })
-        .sum();
-    let banks = tuning.cache_banks.map_or_else(|| worker_count.clamp(1, 8), |b| b.max(1));
-    let hw_cfg = HwConfig {
-        cache: CacheConfig {
-            banks,
-            miss_latency: tuning.miss_latency,
-            lines: tuning.cache_lines,
-            ..CacheConfig::default()
-        },
-        fifo_depth_beats: tuning.fifo_depth_beats,
-        engine: tuning.engine,
-        ..HwConfig::default()
+) -> Result<Run, FlowError> {
+    let recorder = spec.trace.then(Recorder::new);
+    let mut config = spec.config;
+    let mut rung = None;
+    let owned: Compiled;
+    let compiled = match spec.design {
+        Design::Sequential => return run_sequential(k, spec, recorder, reference, "LegUp"),
+        Design::Compiled(c) => c,
+        Design::Compile => {
+            let compiler = CgpaCompiler::new(config);
+            owned = match &recorder {
+                Some(rec) => {
+                    rec.name_process(1, format!("compile {}", k.name));
+                    rec.name_thread(1, 1, "compiler");
+                    let track = Track { rec: rec.clone(), pid: 1, tid: 1 };
+                    let c = compiler.compile_inner(&k.func, &k.model, Some(&track))?;
+                    // Emit (and discard) the Verilog so the backend's span
+                    // shows up on the compile track.
+                    let _ = compiler.emit_verilog_inner(&c, Some(&track));
+                    c
+                }
+                None => compiler.compile(&k.func, &k.model)?,
+            };
+            &owned
+        }
+        Design::Degrade(policy) => {
+            match CgpaCompiler::new(config).compile_degraded(&k.func, &k.model, policy)? {
+                DegradedCompile::Pipeline { compiled, rung: landed, .. } => {
+                    config.placement = landed.placement().unwrap_or(config.placement);
+                    rung = Some(landed);
+                    owned = *compiled;
+                    &owned
+                }
+                DegradedCompile::Sequential { .. } => {
+                    let mut run =
+                        run_sequential(k, spec, recorder, reference, "CGPA(seq-fallback)")?;
+                    run.result.rung = Some(DegradationRung::Sequential);
+                    return Ok(run);
+                }
+            }
+        }
     };
 
-    let mut mem = k.mem.clone();
-    let mut captured: Option<SystemStats> = None;
-    let mut hw_err: Option<HwError> = None;
-    let mut plan_out: Option<FaultPlan> = None;
+    // Area: one instance per sequential stage, `workers` instances of the
+    // parallel stage (in stats order), each with its own cache port (paper
+    // §3.1: dedicated memory ports), plus FIFO channel control.
     let pm = &compiled.pipeline;
+    let amodel = AreaModel::default();
+    let mut worker_areas: Vec<AreaReport> = Vec::new();
+    for task in &pm.tasks {
+        let (f, fsm) = (&pm.module.funcs[task.func_index], &compiled.fsms[task.func_index]);
+        let a = estimate_area(&amodel, f, fsm);
+        let count = if task.kind == StageKind::Parallel { pm.workers } else { 1 };
+        worker_areas.extend((0..count).map(|_| a.clone()));
+    }
+    let channels: u32 = pm.queues.iter().map(|q| pm.module.queue(q.queue).channels).sum();
+    let hw = hw_config(spec.tuning, worker_areas.len() as u32);
+    let mut mem = k.mem.clone();
+    let mut captured: Option<(SystemStats, Option<FaultPlan>)> = None;
+    let mut hw_err: Option<HwError> = None;
     // Each fork gets its own trace process so a multi-invocation parent
     // cannot interleave two runs' cycle timelines on one track.
-    let mut fork_index: u32 = 0;
+    let mut forks: u32 = 0;
     let (ret, _) = run_with_accelerator(
         &pm.parent,
         &k.args,
         &mut mem,
         4_000_000_000,
         &mut |_loop_id: u32, live_ins: &[Value], mem: &mut SimMemory| {
-            let mut sys = HwSystem::for_pipeline(pm, live_ins, hw_cfg);
-            if let Some(rec) = obs {
-                sys.attach_obs(rec, 2 + fork_index);
-                fork_index += 1;
-            }
-            if let Some(plan) = &fault {
-                sys.inject_faults(plan.clone());
-            }
-            match sys.run(mem) {
+            let mut sys = HwSystem::for_pipeline(pm, live_ins, hw);
+            forks += 1;
+            match simulate(&mut sys, mem, spec, recorder.as_ref(), 1 + forks) {
                 Ok(stats) => {
-                    captured = Some(stats);
-                    plan_out = sys.fault_plan().cloned();
+                    captured = Some((stats, sys.fault_plan().cloned()));
                     Ok(sys.liveouts().to_vec())
                 }
                 Err(e) => {
@@ -306,180 +349,111 @@ pub(crate) fn run_compiled_impl(
         Some(h) => FlowError::Hw(h),
         None => FlowError::Interp(e.to_string()),
     })?;
-    let stats = captured.ok_or_else(|| FlowError::Interp("fork never executed".to_string()))?;
+    let (stats, faults) =
+        captured.ok_or_else(|| FlowError::Interp("fork never executed".to_string()))?;
     verify_memory(k, &mem, ret, reference)?;
 
-    // Area: one instance per sequential stage, `workers` instances of the
-    // parallel stage, FIFO channel control.
-    let amodel = AreaModel::default();
-    let mut worker_areas: Vec<AreaReport> = Vec::new();
-    for task in &pm.tasks {
-        let f = &pm.module.funcs[task.func_index];
-        let fsm = &compiled.fsms[task.func_index];
-        let a = estimate_area(&amodel, f, fsm);
-        let count = match task.kind {
-            StageKind::Sequential => 1,
-            StageKind::Parallel => pm.workers,
-        };
-        for _ in 0..count {
-            worker_areas.push(a.clone());
-        }
-    }
-    let channels: u32 = pm.queues.iter().map(|q| pm.module.queue(q.queue).channels).sum();
-    let fifo = fifo_area(&amodel, channels);
-    let total_alut: u32 = worker_areas.iter().map(AreaReport::total).sum::<u32>() + fifo.total();
+    let label = match config.placement {
+        ReplicablePlacement::Pipelined => "CGPA(P1)",
+        ReplicablePlacement::Replicated => "CGPA(P2)",
+    };
+    let profile =
+        Profile::from_stats(&k.name, label, compiled, &stats, spec.tuning.fifo_depth_beats);
+    let mut result = finish(k, label, stats, worker_areas, fifo_area(&amodel, channels), hw);
+    result.shape = Some(compiled.shape.clone());
+    result.rung = rung;
+    Ok(Run { result, profile: Some(profile), faults, recorder })
+}
 
-    let pmodel = PowerModel::default();
+/// The sequential design: the whole kernel as one FSM worker.
+fn run_sequential(
+    k: &BuiltKernel,
+    spec: &RunSpec,
+    recorder: Option<Recorder>,
+    reference: Option<&Reference>,
+    label: &str,
+) -> Result<Run, FlowError> {
+    let hw = hw_config(spec.tuning, 1);
+    let mut mem = k.mem.clone();
+    let mut sys = HwSystem::for_single(&k.func, &k.args, hw);
+    let stats = simulate(&mut sys, &mut mem, spec, recorder.as_ref(), 2)?;
+    verify_memory(k, &mem, sys.ret_value(), reference)?;
+    let area = estimate_area(&AreaModel::default(), &k.func, &sys.fsms()[0]);
+    let result = finish(k, label, stats, vec![area], AreaReport::default(), hw);
+    Ok(Run { result, profile: None, faults: sys.fault_plan().cloned(), recorder })
+}
+
+/// The simulator configuration `tuning` describes for `workers` workers.
+/// Without explicit banks, each worker gets its own cache port, up to the
+/// 8-port cache of §4.1.
+fn hw_config(tuning: HwTuning, workers: u32) -> HwConfig {
+    HwConfig {
+        cache: CacheConfig {
+            banks: tuning.cache_banks.map_or_else(|| workers.clamp(1, 8), |b| b.max(1)),
+            miss_latency: tuning.miss_latency,
+            lines: tuning.cache_lines,
+            ..CacheConfig::default()
+        },
+        fifo_depth_beats: tuning.fifo_depth_beats,
+        engine: tuning.engine,
+        ..HwConfig::default()
+    }
+}
+
+/// Arm `sys` with `spec`'s fault plan and (when tracing) trace process
+/// `pid`, then run it.
+fn simulate(
+    sys: &mut HwSystem,
+    mem: &mut SimMemory,
+    spec: &RunSpec,
+    recorder: Option<&Recorder>,
+    pid: u32,
+) -> Result<SystemStats, HwError> {
+    if let Some(rec) = recorder {
+        sys.attach_obs(rec, pid);
+    }
+    if let Some(plan) = &spec.faults {
+        sys.inject_faults(plan.clone());
+    }
+    sys.run(mem)
+}
+
+/// Area → activity → power → [`RunResult`], from one area report per
+/// worker instance (in stats order) plus the FIFO channel control.
+fn finish(
+    k: &BuiltKernel,
+    label: &str,
+    stats: SystemStats,
+    workers: Vec<AreaReport>,
+    fifo: AreaReport,
+    hw: HwConfig,
+) -> RunResult {
+    let alut = workers.iter().map(AreaReport::total).sum::<u32>() + fifo.total();
     let trace = ActivityTrace {
         cycles: stats.cycles,
-        workers: worker_areas.iter().cloned().zip(stats.workers.iter().map(|w| w.busy)).collect(),
+        workers: workers.into_iter().zip(stats.workers.iter().map(|w| w.busy)).collect(),
         fifo_beats: stats.fifo_beats,
         cache_accesses: stats.cache.accesses,
-        cache_ports: banks,
+        cache_ports: hw.cache.banks,
         fifo_area: fifo,
     };
-    let power: PowerReport = evaluate(&pmodel, &trace);
-    let label = match config.placement {
-        cgpa_pipeline::ReplicablePlacement::Pipelined => "CGPA(P1)",
-        cgpa_pipeline::ReplicablePlacement::Replicated => "CGPA(P2)",
-    };
-    let result = RunResult {
+    let power = evaluate(&PowerModel::default(), &trace);
+    RunResult {
         config: label.to_string(),
         cycles: stats.cycles,
-        alut: total_alut,
+        alut,
         power_mw: power.power_mw,
         energy_uj: power.energy_uj,
         efficiency: energy_efficiency(k.iterations, &power),
-        shape: Some(compiled.shape.clone()),
+        shape: None,
         stats: Some(stats),
         rung: None,
-    };
-    Ok((result, plan_out))
+    }
 }
 
-/// Run the kernel with a [`FaultPlan`] armed on the pipeline simulator.
-///
-/// On success the run was bit-exact against the functional reference despite
-/// the plan (timing-only faults, or faults that never fired); the returned
-/// plan records which faults actually fired. A corrupting fault that the
-/// hardware catches surfaces as [`FlowError::Hw`] wrapping
-/// [`HwError::Fault`].
-///
-/// # Errors
-/// See [`FlowError`].
-pub fn run_cgpa_with_faults(
-    k: &BuiltKernel,
-    config: CgpaConfig,
-    plan: FaultPlan,
-) -> Result<(RunResult, FaultPlan), FlowError> {
-    run_cgpa_with_faults_tuned(k, config, plan, HwTuning::default())
-}
-
-/// [`run_cgpa_with_faults`] with explicit microarchitectural knobs — in
-/// particular the simulation engine, for the engine-differential fault
-/// matrix.
-///
-/// # Errors
-/// See [`FlowError`].
-pub fn run_cgpa_with_faults_tuned(
-    k: &BuiltKernel,
-    config: CgpaConfig,
-    plan: FaultPlan,
-    tuning: HwTuning,
-) -> Result<(RunResult, FaultPlan), FlowError> {
-    let compiler = CgpaCompiler::new(config);
-    let compiled = compiler.compile(&k.func, &k.model)?;
-    let (r, plan_out) =
-        run_compiled_impl(k, &compiled, config, tuning, Some(plan.clone()), None, None)?;
-    Ok((r, plan_out.unwrap_or(plan)))
-}
-
-/// A pipeline run paired with the recorder holding its end-to-end trace
-/// (compile-phase spans, Verilog emission spans, per-iteration pipeline
-/// spans, FIFO occupancy counters). Export with
-/// [`Recorder::to_chrome_json`] and load the file in Perfetto.
-#[derive(Debug)]
-pub struct TracedRun {
-    /// The run (cycles, area, power, stats) — identical to the untraced
-    /// flow's result.
-    pub result: RunResult,
-    /// The recorder every layer wrote into: trace process 1 is the
-    /// compiler (wall-clock µs), processes 2+ are the simulator forks
-    /// (one trace-µs per simulated cycle).
-    pub recorder: Recorder,
-}
-
-/// [`run_cgpa_tuned`] with end-to-end structured tracing: the compile
-/// pipeline records one span per phase (alias → PDG → SCC condensation →
-/// classification → partition → transform → FSM scheduling → Verilog),
-/// and the simulator records per-iteration spans per worker plus FIFO
-/// occupancy counter tracks. Tracing does not change the configured
-/// engine — both engines emit bit-identical simulator streams.
-///
-/// # Errors
-/// See [`FlowError`].
-pub fn run_cgpa_traced(
-    k: &BuiltKernel,
-    config: CgpaConfig,
-    tuning: HwTuning,
-) -> Result<TracedRun, FlowError> {
-    let recorder = Recorder::new();
-    recorder.name_process(1, format!("compile {}", k.name));
-    recorder.name_thread(1, 1, "compiler");
-    let track = Track { rec: recorder.clone(), pid: 1, tid: 1 };
-    let compiler = CgpaCompiler::new(config);
-    let compiled = compiler.compile_inner(&k.func, &k.model, Some(&track))?;
-    // Emit (and discard) the Verilog so the backend's span shows up on the
-    // compile track; callers wanting the text can re-emit from `compiled`.
-    let _ = compiler.emit_verilog_inner(&compiled, Some(&track));
-    let (result, _) = run_compiled_impl(k, &compiled, config, tuning, None, Some(&recorder), None)?;
-    Ok(TracedRun { result, recorder })
-}
-
-/// A pipeline run paired with its bottleneck profile.
-#[derive(Debug, Clone)]
-pub struct ProfiledRun {
-    /// The run (cycles, area, power, stats).
-    pub result: RunResult,
-    /// Stage/queue/memory rollup naming the limiting resource.
-    pub profile: Profile,
-}
-
-/// [`run_cgpa_tuned`] plus a [`Profile`] built from the run's statistics.
-///
-/// Profiles are engine-independent: both simulation engines fill the stall
-/// buckets identically, so the same profile comes back either way.
-///
-/// # Errors
-/// See [`FlowError`].
-pub fn run_cgpa_profiled(
-    k: &BuiltKernel,
-    config: CgpaConfig,
-    tuning: HwTuning,
-) -> Result<ProfiledRun, FlowError> {
-    run_profiled(k, config, tuning, None)
-}
-
-/// [`run_cgpa_profiled`] verified against `reference` when given.
-fn run_profiled(
-    k: &BuiltKernel,
-    config: CgpaConfig,
-    tuning: HwTuning,
-    reference: Option<&Reference>,
-) -> Result<ProfiledRun, FlowError> {
-    let compiler = CgpaCompiler::new(config);
-    let compiled = compiler.compile(&k.func, &k.model)?;
-    let (result, _) = run_compiled_impl(k, &compiled, config, tuning, None, None, reference)?;
-    let stats = result.stats.as_ref().expect("pipeline runs capture stats");
-    let profile =
-        Profile::from_stats(&k.name, &result.config, &compiled, stats, tuning.fifo_depth_beats);
-    Ok(ProfiledRun { result, profile })
-}
-
-/// Default marginal-speedup threshold for [`run_cgpa_tuned_auto`]: stop
-/// when a step improves cycles by less than 2%.
-pub const TUNE_MIN_GAIN: f64 = 0.02;
-
+/// Marginal-speedup threshold of [`run_cgpa_tuned_auto`]: stop when a step
+/// improves cycles by less than 2%.
+const TUNE_MIN_GAIN: f64 = 0.02;
 /// Iteration cap for the tuner (each step doubles one knob, so 6 steps
 /// already cover a 64× range).
 const TUNE_MAX_ITERS: usize = 6;
@@ -508,8 +482,10 @@ pub struct TuneStep {
 /// The tuner's final configuration and its search trace.
 #[derive(Debug, Clone)]
 pub struct TuneOutcome {
-    /// Best run found (with its profile).
-    pub best: ProfiledRun,
+    /// Best run found.
+    pub best: RunResult,
+    /// The best run's profile.
+    pub profile: Profile,
     /// Cycles of the starting configuration (the un-tuned baseline).
     pub baseline_cycles: u64,
     /// Every step tried, in order.
@@ -520,7 +496,7 @@ impl TuneOutcome {
     /// Baseline cycles over best cycles (1.0 = the tuner found nothing).
     #[must_use]
     pub fn speedup(&self) -> f64 {
-        self.baseline_cycles as f64 / self.best.result.cycles as f64
+        self.baseline_cycles as f64 / self.best.cycles as f64
     }
 }
 
@@ -532,14 +508,11 @@ impl TuneOutcome {
 /// stage this profile does not carry (stats from another compile, a
 /// deserialized profile) — and the tuner stops with its best-so-far outcome
 /// instead of panicking.
-#[must_use]
-pub fn next_tune_step(
+fn next_tune_step(
     profile: &Profile,
-    config: CgpaConfig,
-    tuning: HwTuning,
+    mut config: CgpaConfig,
+    mut tuning: HwTuning,
 ) -> Option<(CgpaConfig, HwTuning)> {
-    let mut config = config;
-    let mut tuning = tuning;
     let has_parallel_stage = profile.stages.iter().any(|s| s.parallel);
     match &profile.bottleneck {
         Bottleneck::QueueFull { .. } if tuning.fifo_depth_beats < TUNE_MAX_FIFO_DEPTH => {
@@ -567,49 +540,45 @@ pub fn next_tune_step(
 }
 
 /// Profile-guided auto-tuner: iterate compile→run→profile, doubling the
-/// knob the bottleneck verdict indicts (see [`next_tune_step`]) until a
-/// step improves cycles by less than `min_gain` (see [`TUNE_MIN_GAIN`]) or
-/// the bottleneck is one no knob addresses.
+/// knob the bottleneck verdict indicts until a step improves cycles by
+/// less than 2% or the bottleneck is one no knob addresses.
 ///
 /// # Errors
 /// See [`FlowError`]. Every candidate run is verified in full against the
 /// functional reference, which is computed once per tuning.
 pub fn run_cgpa_tuned_auto(
     k: &BuiltKernel,
-    config: CgpaConfig,
-    tuning: HwTuning,
-    min_gain: f64,
+    mut config: CgpaConfig,
+    mut tuning: HwTuning,
 ) -> Result<TuneOutcome, FlowError> {
     let reference = reference(k)?;
-    let mut config = config;
-    let mut tuning = tuning;
     let mut steps: Vec<TuneStep> = Vec::new();
-    let mut best: Option<ProfiledRun> = None;
+    let mut best: Option<(RunResult, Profile)> = None;
     let mut baseline_cycles = 0u64;
     for _ in 0..TUNE_MAX_ITERS {
-        let run = run_profiled(k, config, tuning, Some(&reference))?;
+        let run = run_with(k, &RunSpec { config, tuning, ..RunSpec::default() }, Some(&reference))?;
+        let profile = run.profile.expect("pipeline runs are profiled");
         let cycles = run.result.cycles;
         let accepted = match &best {
             None => {
                 baseline_cycles = cycles;
                 true
             }
-            Some(b) => (cycles as f64) < b.result.cycles as f64 * (1.0 - min_gain),
+            Some((b, _)) => (cycles as f64) < b.cycles as f64 * (1.0 - TUNE_MIN_GAIN),
         };
         steps.push(TuneStep {
             workers: config.workers,
             fifo_depth_beats: tuning.fifo_depth_beats,
             cycles,
-            bottleneck: run.profile.bottleneck_summary(),
+            bottleneck: profile.bottleneck_summary(),
             accepted,
         });
-        if accepted {
-            best = Some(run);
-        } else {
+        if !accepted {
             break; // marginal speedup below threshold: stop climbing
         }
-        let Some(b) = &best else { break };
-        match next_tune_step(&b.profile, config, tuning) {
+        let next = next_tune_step(&profile, config, tuning);
+        best = Some((run.result, profile));
+        match next {
             Some((c, t)) => {
                 config = c;
                 tuning = t;
@@ -617,8 +586,9 @@ pub fn run_cgpa_tuned_auto(
             None => break, // no knob addresses this bottleneck
         }
     }
-    let best = best.ok_or_else(|| FlowError::Interp("tuner completed no iteration".to_string()))?;
-    Ok(TuneOutcome { best, baseline_cycles, steps })
+    let (best, profile) =
+        best.ok_or_else(|| FlowError::Interp("tuner completed no iteration".to_string()))?;
+    Ok(TuneOutcome { best, profile, baseline_cycles, steps })
 }
 
 /// Explore the design-space lattice for one kernel: compile each distinct
@@ -626,12 +596,15 @@ pub fn run_cgpa_tuned_auto(
 /// point concurrently, and report the (cycles, ALUTs, power) Pareto
 /// frontier plus a recommended point under `area_budget_alut`. Partition
 /// heuristics are the defaults; `env` supplies miss latency, cache lines
-/// when the lattice does not sweep them, and the simulation engine. See
+/// when the lattice does not sweep them, and the simulation engine. Points
+/// with invalid cache geometry are recorded in
+/// [`DseReport::skipped`](crate::dse::DseReport::skipped). See
 /// [`crate::dse`] for the building blocks.
 ///
 /// # Errors
-/// See [`crate::dse::explore`]: per-point failures are recorded in the
-/// report, an error means no point was feasible.
+/// [`FlowError`] when *no* lattice point is feasible, and
+/// [`FlowError::Interp`] when the reference cannot be computed; per-point
+/// failures are recorded in the report.
 pub fn run_cgpa_dse(
     k: &BuiltKernel,
     lattice: &crate::dse::DseLattice,
@@ -639,42 +612,7 @@ pub fn run_cgpa_dse(
     area_budget_alut: u32,
     cache: &crate::dse::CompileCache,
 ) -> Result<crate::dse::DseReport, FlowError> {
-    crate::dse::explore(k, lattice, CgpaConfig::default(), env, area_budget_alut, cache)
-}
-
-/// Compile with the graceful-degradation ladder and run whatever rung the
-/// compile lands on (paper-shaped pipeline when possible, LegUp-style
-/// sequential accelerator as the last rung).
-///
-/// The returned [`RunResult::rung`] records the rung taken; the `config`
-/// label reads `CGPA(seq-fallback)` when the sequential rung was used.
-///
-/// # Errors
-/// [`FlowError::Compile`] when even the sequential fallback cannot be
-/// scheduled; otherwise see [`FlowError`].
-pub fn run_cgpa_degraded(
-    k: &BuiltKernel,
-    config: CgpaConfig,
-    policy: DegradationPolicy,
-) -> Result<RunResult, FlowError> {
-    let compiler = CgpaCompiler::new(config);
-    match compiler.compile_degraded(&k.func, &k.model, policy)? {
-        DegradedCompile::Pipeline { compiled, rung, .. } => {
-            let mut run_cfg = config;
-            if let Some(p) = rung.placement() {
-                run_cfg.placement = p;
-            }
-            let mut r = run_compiled_tuned(k, &compiled, run_cfg, HwTuning::default())?;
-            r.rung = Some(rung);
-            Ok(r)
-        }
-        DegradedCompile::Sequential { .. } => {
-            let mut r = run_legup(k)?;
-            r.config = "CGPA(seq-fallback)".to_string();
-            r.rung = Some(DegradationRung::Sequential);
-            Ok(r)
-        }
-    }
+    crate::dse::explore(k, lattice, env, area_budget_alut, cache)
 }
 
 /// A kernel's functional reference: final memory image and return value.
@@ -747,21 +685,21 @@ mod tests {
     #[test]
     fn profile_is_engine_independent_and_names_a_bottleneck() {
         let k = small_em3d();
-        let ev = run_cgpa_profiled(&k, CgpaConfig::default(), HwTuning::default()).unwrap();
-        let rf = run_cgpa_profiled(
-            &k,
-            CgpaConfig::default(),
-            HwTuning { engine: SimEngine::PerCycle, ..HwTuning::default() },
-        )
-        .unwrap();
-        assert_eq!(ev.profile, rf.profile);
-        assert!(!ev.profile.stages.is_empty());
-        for s in &ev.profile.stages {
+        let profiled = |engine| {
+            let tuning = HwTuning { engine, ..HwTuning::default() };
+            let run = run(&k, &RunSpec { tuning, ..RunSpec::default() }).unwrap();
+            (run.result, run.profile.expect("pipeline runs are profiled"))
+        };
+        let (ev, ev_profile) = profiled(SimEngine::EventDriven);
+        let (_, rf_profile) = profiled(SimEngine::PerCycle);
+        assert_eq!(ev_profile, rf_profile);
+        assert!(!ev_profile.stages.is_empty());
+        for s in &ev_profile.stages {
             assert!((0.0..=1.0).contains(&s.utilization), "{s:?}");
         }
-        assert!(!ev.profile.bottleneck_summary().is_empty());
+        assert!(!ev_profile.bottleneck_summary().is_empty());
         // Every worker-cycle is attributed to exactly one bucket.
-        let stats = ev.result.stats.as_ref().unwrap();
+        let stats = ev.stats.as_ref().unwrap();
         for w in &stats.workers {
             assert_eq!(w.total(), stats.cycles);
         }
@@ -775,12 +713,12 @@ mod tests {
         // scales workers to get more misses in flight.
         let himem = HwTuning { miss_latency: 400, cache_lines: 2, ..HwTuning::default() };
         let base = CgpaConfig { workers: 2, ..CgpaConfig::default() };
-        let outcome = run_cgpa_tuned_auto(&k, base, himem, TUNE_MIN_GAIN).unwrap();
+        let outcome = run_cgpa_tuned_auto(&k, base, himem).unwrap();
         assert!(
-            outcome.best.result.cycles < outcome.baseline_cycles,
+            outcome.best.cycles < outcome.baseline_cycles,
             "tuner found nothing: baseline {} vs best {}",
             outcome.baseline_cycles,
-            outcome.best.result.cycles
+            outcome.best.cycles
         );
         assert!(outcome.steps.len() >= 2);
         assert!(outcome.speedup() > 1.0);

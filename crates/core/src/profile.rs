@@ -7,7 +7,9 @@
 //! explicit: per-stage utilization (busy cycles over worker-cycles),
 //! per-queue occupancy/wait statistics, memory-port pressure, and a single
 //! [`Bottleneck`] verdict that the profile-guided tuner
-//! ([`crate::flows::run_cgpa_tuned_auto`]) steers by.
+//! ([`crate::flows::run_cgpa_tuned_auto`]) steers by. Every pipeline run of
+//! [`crate::flows::run`] returns its profile in
+//! [`Run::profile`](crate::flows::Run::profile).
 //!
 //! Profiles are engine-independent: both simulation engines produce
 //! bit-identical statistics (enforced by `tests/differential_engines.rs`),

@@ -9,7 +9,7 @@ use cgpa::dse::{
     dominates, pareto_frontier, schedule_hash, CompileCache, DseLattice, DseOutcome, DsePoint,
     DEFAULT_AREA_BUDGET_ALUT,
 };
-use cgpa::flows::{run_cgpa_dse, run_cgpa_tuned_auto, run_compiled_tuned, HwTuning, TUNE_MIN_GAIN};
+use cgpa::flows::{run, run_cgpa_dse, run_cgpa_tuned_auto, Design, HwTuning, RunSpec};
 use cgpa_kernels::{em3d, gaussblur, hash_index, kmeans, ks, BuiltKernel};
 use cgpa_pipeline::ReplicablePlacement;
 use proptest::prelude::*;
@@ -50,7 +50,7 @@ fn tuner_superset_lattice() -> DseLattice {
 fn explorer_matches_or_beats_the_tuner_on_every_kernel() {
     let cache = CompileCache::new();
     for k in &suite() {
-        let tuned = run_cgpa_tuned_auto(k, CgpaConfig::default(), himem(), TUNE_MIN_GAIN)
+        let tuned = run_cgpa_tuned_auto(k, CgpaConfig::default(), himem())
             .unwrap_or_else(|e| panic!("{}: tuner failed: {e}", k.name));
         let report =
             run_cgpa_dse(k, &tuner_superset_lattice(), himem(), DEFAULT_AREA_BUDGET_ALUT, &cache)
@@ -58,10 +58,10 @@ fn explorer_matches_or_beats_the_tuner_on_every_kernel() {
 
         let best = report.best_cycles().expect("non-empty frontier");
         assert!(
-            best <= tuned.best.result.cycles,
+            best <= tuned.best.cycles,
             "{}: explorer best {best} cycles worse than tuner best {}",
             k.name,
-            tuned.best.result.cycles
+            tuned.best.cycles
         );
 
         // The frontier is drawn from the evaluated set and non-dominated
@@ -171,7 +171,9 @@ fn every_explored_point_equals_a_standalone_run() {
     for o in &report.evaluated {
         let config = o.point.config(&CgpaConfig::default());
         let compiled = CgpaCompiler::new(config).compile(&k.func, &k.model).unwrap();
-        let r = run_compiled_tuned(k, &compiled, config, o.point.tuning(&env)).unwrap();
+        let (tuning, design) = (o.point.tuning(&env), Design::Compiled(&compiled));
+        let spec = RunSpec { config, tuning, design, ..RunSpec::default() };
+        let r = run(k, &spec).unwrap().result;
         let label = o.point.label();
         assert_eq!(o.cycles, r.cycles, "{label}");
         assert_eq!(o.alut, r.alut, "{label}");

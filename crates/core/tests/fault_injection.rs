@@ -15,13 +15,24 @@
 //! [`RunResult`]: cgpa::flows::RunResult
 
 use cgpa::compiler::{CgpaCompiler, CgpaConfig, CompileError, DegradationPolicy, DegradationRung};
-use cgpa::flows::{run_cgpa_degraded, run_cgpa_tuned, run_cgpa_with_faults, FlowError, HwTuning};
+use cgpa::flows::{run, run_cgpa_tuned, Design, FlowError, HwTuning, RunResult, RunSpec};
 use cgpa_analysis::MemoryModel;
 use cgpa_ir::{builder::FunctionBuilder, inst::IntPredicate, BinOp, Ty};
 use cgpa_kernels::{em3d, gaussblur, hash_index, kmeans, ks, BuiltKernel};
 use cgpa_pipeline::{PartitionError, ReplicablePlacement};
 use cgpa_sim::{FaultClass, FaultKind, FaultPlan, HwError};
 use cgpa_sim::{SimMemory, Value};
+
+/// CGPA(P1) with `plan` armed: the result and the plan's fired flags.
+fn run_with_faults(k: &BuiltKernel, plan: FaultPlan) -> Result<(RunResult, FaultPlan), FlowError> {
+    let r = run(k, &RunSpec { faults: Some(plan), ..RunSpec::default() })?;
+    Ok((r.result, r.faults.expect("an armed run returns its plan")))
+}
+
+/// The degradation ladder under `policy`, from placement `config`.
+fn ladder(config: CgpaConfig, policy: DegradationPolicy) -> RunSpec<'static> {
+    RunSpec { config, design: Design::Degrade(policy), ..RunSpec::default() }
+}
 
 /// All five paper benchmarks at matrix-friendly sizes (same parameters the
 /// compiler's Table 2 shape test uses).
@@ -45,7 +56,7 @@ fn fault_matrix_tolerates_or_detects() {
             for seed in [11u64, 23, 47] {
                 let plan = FaultPlan::single(class, seed);
                 let cell = format!("kernel={} class={class} seed={seed}", k.name);
-                match run_cgpa_with_faults(k, CgpaConfig::default(), plan) {
+                match run_with_faults(k, plan) {
                     Ok((_, plan_out)) => {
                         // A clean finish is bit-exact (the flow verifies
                         // memory + return value internally). A data fault
@@ -79,7 +90,7 @@ fn injected_runs_are_deterministic() {
     let k = em3d::build(&em3d::Params::fixed(8, 8, 3, 4), 1);
     let run = |seed| {
         let plan = FaultPlan::single(FaultClass::StallWorker, seed);
-        run_cgpa_with_faults(&k, CgpaConfig::default(), plan).expect("timing fault tolerated")
+        run_with_faults(&k, plan).expect("timing fault tolerated")
     };
     let (a, plan_a) = run(11);
     let (b, plan_b) = run(11);
@@ -95,8 +106,7 @@ fn tolerated_stall_slows_the_pipeline_down() {
     // Freeze worker 0 for 500 cycles right after startup.
     let plan =
         FaultPlan::new(vec![FaultKind::StallWorker { worker: 0, at_cycle: 10, cycles: 500 }]);
-    let (faulted, plan_out) =
-        run_cgpa_with_faults(&k, CgpaConfig::default(), plan).expect("stall tolerated");
+    let (faulted, plan_out) = run_with_faults(&k, plan).expect("stall tolerated");
     assert!(plan_out.any_fired(), "stall window overlaps the run");
     assert!(
         faulted.cycles > clean.cycles,
@@ -112,8 +122,7 @@ fn tolerated_stall_slows_the_pipeline_down() {
 fn aimed_bit_flip_is_caught_with_diagnostics() {
     let k = em3d::build(&em3d::Params::fixed(8, 8, 3, 4), 1);
     let plan = FaultPlan::new(vec![FaultKind::BitFlip { queue: 0, at_push: 0, bit: 7 }]);
-    let err = run_cgpa_with_faults(&k, CgpaConfig::default(), plan)
-        .expect_err("corrupted beat must not verify");
+    let err = run_with_faults(&k, plan).expect_err("corrupted beat must not verify");
     match err {
         FlowError::Hw(HwError::Fault { kind, detail, .. }) => {
             let msg = kind.to_string();
@@ -210,7 +219,7 @@ fn degradation_ladder_lands_on_sequential_rung() {
         .expect("sequential fallback schedules");
     assert_eq!(degraded.rung(), DegradationRung::Sequential);
 
-    let r = run_cgpa_degraded(&k, cfg, DegradationPolicy::default()).expect("fallback run");
+    let r = run(&k, &ladder(cfg, DegradationPolicy::default())).expect("fallback run").result;
     assert_eq!(r.rung, Some(DegradationRung::Sequential));
     assert_eq!(r.config, "CGPA(seq-fallback)");
     assert!(r.cycles > 0);
@@ -222,7 +231,7 @@ fn degradation_ladder_lands_on_sequential_rung() {
 fn degradation_ladder_respects_policy() {
     let k = sequential_only_kernel();
     let policy = DegradationPolicy { allow_sequential_fallback: false, ..Default::default() };
-    let err = run_cgpa_degraded(&k, CgpaConfig::default(), policy);
+    let err = run(&k, &ladder(CgpaConfig::default(), policy));
     assert!(
         matches!(err, Err(FlowError::Compile(CompileError::Partition(_)))),
         "expected the partition error to surface, got: {err:?}"
@@ -234,8 +243,9 @@ fn degradation_ladder_respects_policy() {
 #[test]
 fn feasible_kernel_reports_top_rung() {
     let k = em3d::build(&em3d::Params::fixed(8, 8, 3, 4), 1);
-    let r = run_cgpa_degraded(&k, CgpaConfig::default(), DegradationPolicy::default())
-        .expect("em3d compiles at the top rung");
+    let r = run(&k, &ladder(CgpaConfig::default(), DegradationPolicy::default()))
+        .expect("em3d compiles at the top rung")
+        .result;
     assert_eq!(r.rung, Some(DegradationRung::Pipelined));
     assert_eq!(r.config, "CGPA(P1)");
 }

@@ -153,8 +153,9 @@ fn ptr_mul_loop() -> Function {
 
 #[test]
 fn unsupported_op_is_a_typed_error_on_every_rung() {
-    use cgpa::compiler::{DegradationPolicy, DegradedCompile};
-    use cgpa_sim::{run_function, HwConfig, HwSystem, InterpError, NoHooks};
+    use cgpa::compiler::DegradationPolicy;
+    use cgpa::flows::{run, Design, RunSpec};
+    use cgpa_sim::{run_function, HwError, InterpError, NoHooks};
 
     // Honest model: `acc` is read-write through one cell, so every pipeline
     // shape is refused and the degradation ladder lands on the sequential
@@ -176,23 +177,10 @@ fn unsupported_op_is_a_typed_error_on_every_rung() {
     // structurally wrong) — and the cycle-level simulator then reports the
     // op as `HwError::Unsupported` instead of aborting the process,
     // whichever rung the ladder landed on.
-    let degraded = CgpaCompiler::new(CgpaConfig::default())
-        .compile_degraded(&k.func, &k.model, DegradationPolicy::default())
-        .unwrap();
-    let mut mem = k.mem.clone();
-    let err = match &degraded {
-        DegradedCompile::Pipeline { compiled, .. } => {
-            // The parent's live-ins are exactly the kernel arguments here.
-            let mut sys = HwSystem::for_pipeline(&compiled.pipeline, &k.args, HwConfig::default());
-            sys.run(&mut mem).unwrap_err()
-        }
-        DegradedCompile::Sequential { .. } => {
-            let mut sys = HwSystem::for_single(&k.func, &k.args, HwConfig::default());
-            sys.run(&mut mem).unwrap_err()
-        }
-    };
+    let design = Design::Degrade(DegradationPolicy::default());
+    let err = run(&k, &RunSpec { design, ..RunSpec::default() }).unwrap_err();
     assert!(
-        matches!(err, cgpa_sim::HwError::Unsupported(_)),
+        matches!(err, FlowError::Hw(HwError::Unsupported(_))),
         "want HwError::Unsupported, got {err:?}"
     );
 }
@@ -296,7 +284,7 @@ fn malformed_functions_are_typed_interpreter_errors() {
 
 #[test]
 fn a_failing_reference_is_a_typed_flow_error() {
-    use cgpa::flows::{run_cgpa_dse, run_cgpa_tuned_auto, HwTuning, TUNE_MIN_GAIN};
+    use cgpa::flows::{run_cgpa_dse, run_cgpa_tuned_auto, HwTuning};
     use cgpa_sim::InterpError;
 
     // The lying model lets the poisoned loop compile to a pipeline, so the
@@ -309,8 +297,7 @@ fn a_failing_reference_is_a_typed_flow_error() {
     let k = workload(ptr_mul_loop(), mm);
     assert!(matches!(k.try_reference(), Err(InterpError::UnsupportedOp(_))));
 
-    let err = run_cgpa_tuned_auto(&k, CgpaConfig::default(), HwTuning::default(), TUNE_MIN_GAIN)
-        .unwrap_err();
+    let err = run_cgpa_tuned_auto(&k, CgpaConfig::default(), HwTuning::default()).unwrap_err();
     assert!(matches!(&err, FlowError::Interp(m) if m.contains("reference")), "{err}");
     let lattice = cgpa::dse::DseLattice { workers: vec![1, 2], ..cgpa::dse::DseLattice::quick() };
     let cache = cgpa::dse::CompileCache::new();

@@ -11,9 +11,11 @@
 //! ```
 
 use cgpa::compiler::{CgpaCompiler, CgpaConfig};
+use cgpa::flows::{run, Design, RunSpec};
 use cgpa_analysis::MemoryModel;
 use cgpa_ir::{builder::FunctionBuilder, inst::IntPredicate, BinOp, Ty};
-use cgpa_sim::{interp, HwConfig, HwSystem, SimMemory, Value};
+use cgpa_kernels::BuiltKernel;
+use cgpa_sim::{SimMemory, Value};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Node layout: w f32 @0, col i32 @4, next ptr @8; elem 12.
@@ -76,33 +78,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         mem.write_i32(a + 4, ((i * 131) % 1024) as i32);
         mem.write_ptr(a + 8, addrs.get(i + 1).copied().unwrap_or(0));
     }
-    let args = vec![Value::Ptr(addrs[0]), Value::Ptr(vecbase)];
+
+    let kernel = BuiltKernel {
+        name: "spdot".to_string(),
+        domain: "example",
+        description: "sparse dot-product walk",
+        func,
+        model: mm,
+        mem,
+        args: vec![Value::Ptr(addrs[0]), Value::Ptr(vecbase)],
+        iterations: 300,
+    };
 
     // Compile and inspect the derived pipeline.
-    let compiled = CgpaCompiler::new(CgpaConfig::default()).compile(&func, &mm)?;
+    let compiled = CgpaCompiler::new(CgpaConfig::default()).compile(&kernel.func, &kernel.model)?;
     println!("derived pipeline shape: {}", compiled.shape);
 
-    // Run hardware vs reference.
-    let mut ref_mem = mem.clone();
-    let (ref_ret, _) =
-        interp::run_function(&func, &args, &mut ref_mem, 100_000_000, &mut interp::NoHooks)?;
-
-    let mut hw_mem = mem.clone();
-    let pm = &compiled.pipeline;
-    let (hw_ret, _) = cgpa_sim::run_with_accelerator(
-        &pm.parent,
-        &args,
-        &mut hw_mem,
-        100_000_000,
-        &mut |_loop_id: u32, live_ins: &[Value], m: &mut SimMemory| {
-            let mut sys = HwSystem::for_pipeline(pm, live_ins, HwConfig::default());
-            let stats = sys.run(m).map_err(|e| e.to_string())?;
-            println!("accelerator finished in {} cycles", stats.cycles);
-            Ok(sys.liveouts().to_vec())
-        },
-    )?;
-    println!("hardware sum = {hw_ret:?}, reference sum = {ref_ret:?}");
-    assert_eq!(hw_ret, ref_ret);
-    println!("results match");
+    // Run it in hardware; `run` checks the final memory image and the
+    // returned sum against the functional reference before reporting.
+    let run = run(&kernel, &RunSpec { design: Design::Compiled(&compiled), ..RunSpec::default() })?;
+    println!("accelerator finished in {} cycles; results match", run.result.cycles);
     Ok(())
 }

@@ -12,3 +12,8 @@ pub use cgpa_obs as obs;
 pub use cgpa_pipeline as pipeline;
 pub use cgpa_rtl as rtl;
 pub use cgpa_sim as sim;
+
+// README's Rust examples compile as doctests, so they follow the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;

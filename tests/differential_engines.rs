@@ -7,9 +7,7 @@
 //! faults.
 
 use cgpa_repro::cgpa::compiler::CgpaConfig;
-use cgpa_repro::cgpa::flows::{
-    run_cgpa_tuned, run_cgpa_with_faults_tuned, run_legup_engine, HwTuning, RunResult,
-};
+use cgpa_repro::cgpa::flows::{run, Design, FlowError, HwTuning, Run, RunResult, RunSpec};
 use cgpa_repro::kernels::{em3d, gaussblur, hash_index, kmeans, ks, BuiltKernel};
 use cgpa_repro::pipeline::ReplicablePlacement;
 use cgpa_repro::sim::{FaultClass, FaultPlan, SimEngine};
@@ -29,8 +27,19 @@ fn has_p2(name: &str) -> bool {
     matches!(name, "em3d" | "gaussblur")
 }
 
-fn tuning(engine: SimEngine) -> HwTuning {
-    HwTuning { engine, ..HwTuning::default() }
+/// `spec` under the event-driven engine, then under the per-cycle reference.
+fn on_both_engines(k: &BuiltKernel, spec: &RunSpec) -> [Result<Run, FlowError>; 2] {
+    [SimEngine::EventDriven, SimEngine::PerCycle].map(|engine| {
+        run(k, &RunSpec { tuning: HwTuning { engine, ..spec.tuning }, ..spec.clone() })
+    })
+}
+
+/// Both engines run `spec` cleanly and agree (see [`assert_same`]).
+fn assert_engines_agree(k: &BuiltKernel, label: &str, spec: &RunSpec) -> [Run; 2] {
+    let [ev, rf] =
+        on_both_engines(k, spec).map(|r| r.unwrap_or_else(|e| panic!("{}: {label}: {e}", k.name)));
+    assert_same(&k.name, label, &ev.result, &rf.result);
+    [ev, rf]
 }
 
 /// Every engine-independent observable must match. `skipped_cycles` is the
@@ -95,61 +104,39 @@ fn assert_same(kernel: &str, label: &str, ev: &RunResult, rf: &RunResult) {
 #[test]
 fn p1_matches_reference_on_all_kernels() {
     for k in small_suite() {
-        let cfg = CgpaConfig::default();
-        let ev = run_cgpa_tuned(&k, cfg, tuning(SimEngine::EventDriven))
-            .unwrap_or_else(|e| panic!("{}: event P1: {e}", k.name));
-        let rf = run_cgpa_tuned(&k, cfg, tuning(SimEngine::PerCycle))
-            .unwrap_or_else(|e| panic!("{}: reference P1: {e}", k.name));
-        assert_same(&k.name, "P1", &ev, &rf);
+        assert_engines_agree(&k, "P1", &RunSpec::default());
     }
 }
 
 #[test]
 fn p2_matches_reference_where_applicable() {
-    for k in small_suite() {
-        if !has_p2(&k.name) {
-            continue;
-        }
-        let cfg =
+    for k in small_suite().into_iter().filter(|k| has_p2(&k.name)) {
+        let config =
             CgpaConfig { placement: ReplicablePlacement::Replicated, ..CgpaConfig::default() };
-        let ev = run_cgpa_tuned(&k, cfg, tuning(SimEngine::EventDriven))
-            .unwrap_or_else(|e| panic!("{}: event P2: {e}", k.name));
-        let rf = run_cgpa_tuned(&k, cfg, tuning(SimEngine::PerCycle))
-            .unwrap_or_else(|e| panic!("{}: reference P2: {e}", k.name));
-        assert_same(&k.name, "P2", &ev, &rf);
+        assert_engines_agree(&k, "P2", &RunSpec { config, ..RunSpec::default() });
     }
-}
-
-/// The regimes where sleeping workers and FIFO wake-ups differ most from
-/// per-cycle stepping: 400-cycle misses on a 2-line cache keep workers
-/// asleep on memory for most of the run, and 2-beat FIFOs block producers
-/// and consumers on nearly every handshake.
-fn stress_tunings(engine: SimEngine) -> [(&'static str, HwTuning); 2] {
-    [
-        ("memory-starved", HwTuning { miss_latency: 400, cache_lines: 2, ..tuning(engine) }),
-        ("shallow-fifo", HwTuning { fifo_depth_beats: 2, ..tuning(engine) }),
-    ]
 }
 
 #[test]
 fn stress_regimes_match_reference() {
+    // The regimes where sleeping workers and FIFO wake-ups differ most from
+    // per-cycle stepping: 400-cycle misses on a 2-line cache keep workers
+    // asleep on memory for most of the run, and 2-beat FIFOs block
+    // producers and consumers on nearly every handshake.
+    let regimes = [
+        ("memory-starved", HwTuning { miss_latency: 400, cache_lines: 2, ..HwTuning::default() }),
+        ("shallow-fifo", HwTuning { fifo_depth_beats: 2, ..HwTuning::default() }),
+    ];
     for k in small_suite() {
         let mut placements = vec![ReplicablePlacement::Pipelined];
         if has_p2(&k.name) {
             placements.push(ReplicablePlacement::Replicated);
         }
         for placement in placements {
-            let cfg = CgpaConfig { placement, ..CgpaConfig::default() };
-            let regimes = stress_tunings(SimEngine::EventDriven)
-                .into_iter()
-                .zip(stress_tunings(SimEngine::PerCycle));
-            for ((label, ev_tuning), (_, rf_tuning)) in regimes {
-                let label = format!("{label} {placement:?}");
-                let ev = run_cgpa_tuned(&k, cfg, ev_tuning)
-                    .unwrap_or_else(|e| panic!("{}: event {label}: {e}", k.name));
-                let rf = run_cgpa_tuned(&k, cfg, rf_tuning)
-                    .unwrap_or_else(|e| panic!("{}: reference {label}: {e}", k.name));
-                assert_same(&k.name, &label, &ev, &rf);
+            let config = CgpaConfig { placement, ..CgpaConfig::default() };
+            for (label, tuning) in regimes {
+                let spec = RunSpec { config, tuning, ..RunSpec::default() };
+                assert_engines_agree(&k, &format!("{label} {placement:?}"), &spec);
             }
         }
     }
@@ -158,11 +145,11 @@ fn stress_regimes_match_reference() {
 #[test]
 fn sequential_fallback_matches_reference() {
     for k in small_suite() {
-        let ev = run_legup_engine(&k, SimEngine::EventDriven)
-            .unwrap_or_else(|e| panic!("{}: event seq: {e}", k.name));
-        let rf = run_legup_engine(&k, SimEngine::PerCycle)
-            .unwrap_or_else(|e| panic!("{}: reference seq: {e}", k.name));
-        assert_same(&k.name, "seq", &ev, &rf);
+        assert_engines_agree(
+            &k,
+            "seq",
+            &RunSpec { design: Design::Sequential, ..RunSpec::default() },
+        );
     }
 }
 
@@ -175,21 +162,11 @@ fn timing_faults_match_reference() {
         [FaultClass::StallWorker, FaultClass::MemLatencyBurst, FaultClass::PortContention];
     for k in small_suite() {
         for seed in [1u64, 23] {
-            let plan = FaultPlan::seeded(&classes, seed);
-            let cfg = CgpaConfig::default();
-            let (ev, ev_plan) =
-                run_cgpa_with_faults_tuned(&k, cfg, plan.clone(), tuning(SimEngine::EventDriven))
-                    .unwrap_or_else(|e| panic!("{}: event faults(seed {seed}): {e}", k.name));
-            let (rf, rf_plan) =
-                run_cgpa_with_faults_tuned(&k, cfg, plan, tuning(SimEngine::PerCycle))
-                    .unwrap_or_else(|e| panic!("{}: reference faults(seed {seed}): {e}", k.name));
-            assert_same(&k.name, &format!("faults(seed {seed})"), &ev, &rf);
-            assert_eq!(
-                ev_plan.fired(),
-                rf_plan.fired(),
-                "{}: fired faults differ (seed {seed})",
-                k.name
-            );
+            let spec =
+                RunSpec { faults: Some(FaultPlan::seeded(&classes, seed)), ..RunSpec::default() };
+            let [ev, rf] = assert_engines_agree(&k, &format!("faults(seed {seed})"), &spec);
+            let fired = |r: &Run| r.faults.as_ref().map(|p| p.fired());
+            assert_eq!(fired(&ev), fired(&rf), "{}: fired faults differ (seed {seed})", k.name);
         }
     }
 }
@@ -202,16 +179,13 @@ fn corrupting_faults_fail_identically() {
     let classes = [FaultClass::BitFlip, FaultClass::DropBeat, FaultClass::DuplicateBeat];
     for k in small_suite() {
         for seed in [5u64, 11] {
-            let plan = FaultPlan::seeded(&classes, seed);
-            let cfg = CgpaConfig::default();
-            let ev =
-                run_cgpa_with_faults_tuned(&k, cfg, plan.clone(), tuning(SimEngine::EventDriven));
-            let rf = run_cgpa_with_faults_tuned(&k, cfg, plan, tuning(SimEngine::PerCycle));
-            match (ev, rf) {
-                (Ok((ev, _)), Ok((rf, _))) => {
-                    assert_same(&k.name, &format!("corrupt(seed {seed})"), &ev, &rf);
+            let spec =
+                RunSpec { faults: Some(FaultPlan::seeded(&classes, seed)), ..RunSpec::default() };
+            match on_both_engines(&k, &spec) {
+                [Ok(ev), Ok(rf)] => {
+                    assert_same(&k.name, &format!("corrupt(seed {seed})"), &ev.result, &rf.result);
                 }
-                (Err(e), Err(r)) => {
+                [Err(e), Err(r)] => {
                     assert_eq!(
                         e.to_string(),
                         r.to_string(),
@@ -219,11 +193,11 @@ fn corrupting_faults_fail_identically() {
                         k.name
                     );
                 }
-                (ev, rf) => panic!(
+                [ev, rf] => panic!(
                     "{}: engines disagree on success (seed {seed}): event={:?} reference={:?}",
                     k.name,
-                    ev.map(|(r, _)| r.cycles),
-                    rf.map(|(r, _)| r.cycles)
+                    ev.map(|r| r.result.cycles),
+                    rf.map(|r| r.result.cycles)
                 ),
             }
         }

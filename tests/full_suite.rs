@@ -137,19 +137,13 @@ fn deterministic_across_repeat_runs() {
 #[test]
 fn em3d_tolerates_slow_memory_better_than_sequential_hls() {
     // The paper's §2.2 claim: FIFOs confine variable latency to one stage.
-    use cgpa_repro::cgpa::flows::{run_cgpa_tuned, HwTuning};
-    use cgpa_repro::sim::cache::CacheConfig;
-    use cgpa_repro::sim::{HwConfig, HwSystem};
+    use cgpa_repro::cgpa::flows::{run, run_cgpa_tuned, Design, HwTuning, RunSpec};
 
     let k = em3d::build(&em3d::Params::fixed(96, 96, 6, 24), 5);
     let legup_at = |ml: u32| {
-        let mut mem = k.mem.clone();
-        let cfg = HwConfig {
-            cache: CacheConfig { banks: 1, miss_latency: ml, ..CacheConfig::default() },
-            ..HwConfig::default()
-        };
-        let mut sys = HwSystem::for_single(&k.func, &k.args, cfg);
-        sys.run(&mut mem).expect("legup run").cycles as f64
+        let tuning = HwTuning { miss_latency: ml, ..HwTuning::default() };
+        let spec = RunSpec { tuning, design: Design::Sequential, ..RunSpec::default() };
+        run(&k, &spec).expect("legup run").result.cycles as f64
     };
     let cgpa_at = |ml: u32| {
         run_cgpa_tuned(
