@@ -1,26 +1,29 @@
 //! Regenerate every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! experiments [table2|fig4|table3|tradeoff|scalability|ablation|topology|profile|bench|dse|all]
+//! experiments [table2|fig4|table3|tradeoff|scalability|ablation|topology|profile|dse|all]
 //!             [--quick] [--csv <dir>] [--json] [--label <name>]
+//! experiments bench [--json] [--label <name>]
 //! experiments trace [--kernel <name>] [--out <file>] [--quick]
-//! experiments compare <new.json> [--baseline <file>] [--max-regress <pct>]
+//! experiments compare <new.json> [--baseline <file>]
 //! ```
 //!
 //! `--csv <dir>` additionally writes machine-readable CSV files per
-//! experiment for downstream plotting.
+//! experiment for downstream plotting. `--label` names the JSON files;
+//! without it the label is the current git short SHA, or `local`.
 //!
 //! `profile` renders each kernel's bottleneck report (per-stage
 //! utilization, queue occupancy, memory pressure, and the limiting
 //! resource); with `--json` it writes `PROFILE_<label>.json`.
 //!
-//! `bench` measures the harness itself: per-kernel wall-clock compile and
-//! simulation time under both simulation engines (event-driven scheduler vs
-//! per-cycle reference), simulated cycles, and speedup over LegUp, plus a
-//! profile-guided-tuning comparison in the memory-latency-dominated regime.
-//! With `--json` it writes `BENCH_<label>.json` (label from `--label`, the
-//! `BENCH_LABEL` env var, or the current git short SHA) for regression
-//! tracking; compare against the committed `BENCH_baseline.json`.
+//! `bench` builds the ledger of modelled results over the quick set
+//! (`cgpa_bench::ledger`): MIPS, LegUp and CGPA cycles, area, power and
+//! energy bit patterns, digests of the simulator statistics, FSMs and
+//! Verilog, LegUp and the profile-guided tuner at 400-cycle misses, and the
+//! quick DSE's recommendation and frontier. It prints the cycles and, with
+//! `--json`, writes the whole ledger to `BENCH_<label>.json`. It measures
+//! no wall-clock; perfbench does. Regenerate the committed baseline with
+//! `experiments bench --json --label baseline`.
 //!
 //! `dse` explores the configuration lattice per kernel (workers × FIFO
 //! depth × cache geometry × P1/P2 placement) with compiles memoized behind
@@ -33,18 +36,17 @@
 //! counters) and writes a Chrome-trace JSON loadable at
 //! <https://ui.perfetto.dev>.
 //!
-//! `compare` diffs a `BENCH_*.json` against a baseline per kernel and
-//! metric, failing (exit 1) when a simulated-cycle metric regresses past the
-//! tolerance or a correctness invariant (CGPA beats LegUp; tuning never
-//! hurts) flips. Wall-clock metrics are reported but never gate.
+//! `compare` demands exact equality of two ledgers (by default against the
+//! committed `BENCH_baseline.json`). It prints every differing JSON path
+//! with both values and exits 1 on any difference, 2 on a usage, read or
+//! parse error.
 
 use cgpa::compiler::{CgpaCompiler, CgpaConfig};
 use cgpa::report::{geomean, BenchmarkReport};
-use cgpa_bench::{bench_kernels, full_report, scalability_sweep, KernelSet};
+use cgpa_bench::{bench_kernels, full_report, ledger, scalability_sweep, KernelSet};
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::fmt::Write as _;
-use std::time::Instant;
 
 thread_local! {
     static CSV_DIR: RefCell<Option<std::path::PathBuf>> = const { RefCell::new(None) };
@@ -91,11 +93,10 @@ fn main() {
     let set = if quick { KernelSet::Quick } else { KernelSet::Full };
     // Flags that consume the following argument: their operands are not
     // positional.
-    let operand_of: Vec<usize> =
-        ["--csv", "--label", "--kernel", "--out", "--baseline", "--max-regress"]
-            .iter()
-            .filter_map(|f| args.iter().position(|a| a == *f).map(|i| i + 1))
-            .collect();
+    let operand_of: Vec<usize> = ["--csv", "--label", "--kernel", "--out", "--baseline"]
+        .iter()
+        .filter_map(|f| args.iter().position(|a| a == *f).map(|i| i + 1))
+        .collect();
     let positionals: Vec<String> = args
         .iter()
         .enumerate()
@@ -105,7 +106,7 @@ fn main() {
     let which = positionals.first().cloned().unwrap_or_else(|| "all".to_string());
 
     match which.as_str() {
-        "bench" => bench(set, args.iter().any(|a| a == "--json"), &bench_label(&args)),
+        "bench" => bench(args.iter().any(|a| a == "--json"), &bench_label(&args)),
         "profile" => profile_cmd(set, args.iter().any(|a| a == "--json"), &bench_label(&args)),
         "dse" => dse_cmd(set, args.iter().any(|a| a == "--json"), &bench_label(&args)),
         "trace" => trace_cmd(
@@ -115,22 +116,12 @@ fn main() {
         ),
         "compare" => {
             let Some(new_path) = positionals.get(1) else {
-                eprintln!(
-                    "usage: experiments compare <new.json> [--baseline <file>] [--max-regress <pct>]"
-                );
+                eprintln!("usage: experiments compare <new.json> [--baseline <file>]");
                 std::process::exit(2);
             };
             let baseline = flag_operand(&args, "--baseline")
                 .unwrap_or_else(|| "BENCH_baseline.json".to_string());
-            let max_regress = flag_operand(&args, "--max-regress")
-                .map(|p| {
-                    p.parse::<f64>().unwrap_or_else(|_| {
-                        eprintln!("--max-regress expects a percentage, got `{p}`");
-                        std::process::exit(2);
-                    })
-                })
-                .unwrap_or(5.0);
-            compare_cmd(new_path, &baseline, max_regress);
+            compare_cmd(new_path, &baseline);
         }
         "table2" => table2(set),
         "fig4" => fig4(set),
@@ -151,7 +142,7 @@ fn main() {
         other => {
             eprintln!("unknown experiment `{other}`");
             eprintln!(
-                "usage: experiments [table2|fig4|table3|tradeoff|scalability|ablation|topology|profile|bench|dse|trace|compare|all] [--quick] [--csv <dir>] [--json] [--label <name>]"
+                "usage: experiments [table2|fig4|table3|tradeoff|scalability|ablation|topology|profile|bench|dse|trace|compare|all] [--quick] [--csv <dir>] [--json] [--label <name>] (bench always runs the quick set)"
             );
             std::process::exit(2);
         }
@@ -163,16 +154,11 @@ fn flag_operand(args: &[String], flag: &str) -> Option<String> {
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned()
 }
 
-/// Label for `BENCH_<label>.json`: `--label` wins, then the `BENCH_LABEL`
-/// environment variable, then the git short SHA, then `"local"`.
+/// Label for `BENCH_`, `PROFILE_` and `DSE_<label>.json`: `--label` wins,
+/// then the git short SHA, then `"local"`.
 fn bench_label(args: &[String]) -> String {
-    if let Some(l) = args.iter().position(|a| a == "--label").and_then(|i| args.get(i + 1)) {
-        return l.clone();
-    }
-    if let Ok(l) = std::env::var("BENCH_LABEL") {
-        if !l.is_empty() {
-            return l;
-        }
+    if let Some(l) = flag_operand(args, "--label") {
+        return l;
     }
     if let Ok(out) =
         std::process::Command::new("git").args(["rev-parse", "--short", "HEAD"]).output()
@@ -187,306 +173,85 @@ fn bench_label(args: &[String]) -> String {
     "local".to_string()
 }
 
-/// Miss latency for the memory-latency-dominated bench row: a slow-DRAM
-/// regime where a single-worker accelerator spends most cycles waiting and
-/// the event-driven engine can skip straight to each completion. The quick
-/// inputs fit in the default 64 KB cache, so the row also shrinks the cache
-/// to [`HIMEM_CACHE_LINES`] lines to make accesses actually miss.
-const HIMEM_MISS_LATENCY: u32 = 400;
+/// The bench ledger (see `cgpa_bench::ledger`): print it as tables and,
+/// with `json`, write it to `BENCH_<label>.json`.
+fn bench(json: bool, label: &str) {
+    use cgpa::dse::DEFAULT_AREA_BUDGET_ALUT;
+    use ledger::{HIMEM_CACHE_LINES, HIMEM_MISS_LATENCY};
 
-/// Cache lines for the memory-latency-dominated bench row.
-const HIMEM_CACHE_LINES: u32 = 2;
-
-/// Timing repetitions per measurement; the minimum is reported (runs are
-/// deterministic, so the minimum is the least-noise estimate).
-const BENCH_REPS: u32 = 3;
-
-/// Run `f` [`BENCH_REPS`] times; return the minimum wall-clock in ms and
-/// the last result.
-fn timed_min<R>(mut f: impl FnMut() -> R) -> (f64, R) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..BENCH_REPS {
-        let t = Instant::now();
-        let r = f();
-        best = best.min(t.elapsed().as_secs_f64() * 1e3);
-        out = Some(r);
-    }
-    (best, out.expect("BENCH_REPS >= 1"))
-}
-
-/// One kernel's measurements for the `bench` subcommand.
-struct BenchEntry {
-    name: String,
-    compile_ms: f64,
-    sim_ms_event: f64,
-    sim_ms_reference: f64,
-    legup_cycles: u64,
-    cgpa_cycles: u64,
-    skipped_cycles: u64,
-    /// LegUp wall-clock at [`HIMEM_MISS_LATENCY`], event engine.
-    himem_ms_event: f64,
-    /// LegUp wall-clock at [`HIMEM_MISS_LATENCY`], per-cycle reference.
-    himem_ms_reference: f64,
-    /// Simulated cycles of the high-miss-latency run (identical under both
-    /// engines, asserted).
-    himem_cycles: u64,
-    /// CGPA(P1) cycles under the default configuration in the himem regime
-    /// (the tuner's baseline).
-    himem_cgpa_cycles: u64,
-    /// CGPA(P1) cycles after profile-guided auto-tuning in the himem
-    /// regime.
-    himem_tuned_cycles: u64,
-    /// Worker count the tuner settled on.
-    tuned_workers: u32,
-    /// FIFO depth (beats) the tuner settled on.
-    tuned_fifo_depth_beats: usize,
-    /// Bottleneck verdict of the tuned configuration.
-    tuned_bottleneck: String,
-}
-
-impl BenchEntry {
-    /// Wall-clock ratio reference-stepper / event-engine (higher = the
-    /// scheduler skips more).
-    fn engine_speedup(&self) -> f64 {
-        if self.sim_ms_event > 0.0 {
-            self.sim_ms_reference / self.sim_ms_event
-        } else {
-            1.0
-        }
-    }
-
-    /// Engine speedup in the memory-latency-dominated regime.
-    fn himem_engine_speedup(&self) -> f64 {
-        if self.himem_ms_event > 0.0 {
-            self.himem_ms_reference / self.himem_ms_event
-        } else {
-            1.0
-        }
-    }
-
-    /// Simulated-cycle speedup of CGPA(P1) over LegUp.
-    fn speedup_vs_legup(&self) -> f64 {
-        self.legup_cycles as f64 / self.cgpa_cycles.max(1) as f64
-    }
-
-    /// Simulated-cycle speedup of the auto-tuned configuration over the
-    /// default one, in the memory-latency-dominated regime.
-    fn tuned_speedup(&self) -> f64 {
-        self.himem_cgpa_cycles as f64 / self.himem_tuned_cycles.max(1) as f64
-    }
-}
-
-/// Harness self-benchmark: wall-clock compile+sim per kernel under both
-/// simulation engines, plus simulated cycles and speedup over LegUp.
-fn bench(set: KernelSet, json: bool, label: &str) {
-    use cgpa::flows::{run, run_cgpa_tuned_auto, run_legup_engine, Design, HwTuning, RunSpec};
-    use cgpa_sim::cache::CacheConfig;
-    use cgpa_sim::{HwConfig, HwSystem, SimEngine};
-
-    println!("== Bench: harness wall-clock and simulated cycles (per kernel) ==");
+    let entries = ledger::build().unwrap_or_else(|e| {
+        eprintln!("bench failed: {e}");
+        std::process::exit(1);
+    });
+    println!("== Bench ledger: simulated cycles on the quick suite (seed {}) ==", ledger::SEED);
     println!(
-        "{:<14} {:>10} {:>10} {:>10} {:>9} {:>9} {:>12} {:>12} {:>9}",
-        "benchmark",
-        "compile",
-        "sim(ev)",
-        "sim(ref)",
-        "engine x",
-        "himem x",
-        "legup cyc",
-        "cgpa cyc",
-        "speedup"
-    );
-    let wall = Instant::now();
-    let kernels = bench_kernels(set, 42);
-    let entries: Vec<BenchEntry> = kernels
-        .iter()
-        .map(|k| {
-            let cfg = CgpaConfig::default();
-            let t = Instant::now();
-            let compiled = CgpaCompiler::new(cfg).compile(&k.func, &k.model).unwrap_or_else(|e| {
-                eprintln!("{}: compile failed: {e}", k.name);
-                std::process::exit(1);
-            });
-            let compile_ms = t.elapsed().as_secs_f64() * 1e3;
-
-            // Same work under each engine: the LegUp single-worker run (the
-            // memory-latency-dominated case) plus the CGPA(P1) pipeline.
-            let timed = |engine: SimEngine| {
-                let tuning = HwTuning { engine, ..HwTuning::default() };
-                let (ms, (legup, cgpa)) = timed_min(|| {
-                    let legup = run_legup_engine(k, engine).unwrap_or_else(|e| {
-                        eprintln!("{}: legup failed: {e}", k.name);
-                        std::process::exit(1);
-                    });
-                    let design = Design::Compiled(&compiled);
-                    let spec = RunSpec { config: cfg, tuning, design, ..RunSpec::default() };
-                    let cgpa = run(k, &spec).unwrap_or_else(|e| {
-                        eprintln!("{}: cgpa failed: {e}", k.name);
-                        std::process::exit(1);
-                    });
-                    (legup, cgpa.result)
-                });
-                (ms, legup, cgpa)
-            };
-            let (sim_ms_event, legup_ev, cgpa_ev) = timed(SimEngine::EventDriven);
-            let (sim_ms_reference, legup_ref, cgpa_ref) = timed(SimEngine::PerCycle);
-            // The two engines must agree cycle-for-cycle; this is the same
-            // invariant the differential tests enforce, re-checked on every
-            // bench run.
-            assert_eq!(legup_ev.cycles, legup_ref.cycles, "{}: legup engines disagree", k.name);
-            assert_eq!(cgpa_ev.cycles, cgpa_ref.cycles, "{}: cgpa engines disagree", k.name);
-
-            // Memory-latency-dominated regime: single worker, one bank, a
-            // cache too small for the working set, slow misses. Here nearly
-            // every cycle is a stall the scheduler can jump over.
-            let timed_himem = |engine: SimEngine| {
-                let hw = HwConfig {
-                    cache: CacheConfig {
-                        banks: 1,
-                        lines: HIMEM_CACHE_LINES,
-                        miss_latency: HIMEM_MISS_LATENCY,
-                        ..CacheConfig::default()
-                    },
-                    engine,
-                    ..HwConfig::default()
-                };
-                timed_min(|| {
-                    let mut mem = k.mem.clone();
-                    let mut sys = HwSystem::for_single(&k.func, &k.args, hw);
-                    sys.run(&mut mem)
-                        .unwrap_or_else(|e| {
-                            eprintln!("{}: himem run failed: {e}", k.name);
-                            std::process::exit(1);
-                        })
-                        .cycles
-                })
-            };
-            let (himem_ms_event, himem_cyc_ev) = timed_himem(SimEngine::EventDriven);
-            let (himem_ms_reference, himem_cyc_ref) = timed_himem(SimEngine::PerCycle);
-            assert_eq!(himem_cyc_ev, himem_cyc_ref, "{}: himem engines disagree", k.name);
-
-            // Profile-guided tuning in the same memory-starved regime: the
-            // tuner's first step runs the default configuration, so its
-            // `baseline_cycles` IS `run_cgpa` under this tuning.
-            let himem_tuning = HwTuning {
-                miss_latency: HIMEM_MISS_LATENCY,
-                cache_lines: HIMEM_CACHE_LINES,
-                ..HwTuning::default()
-            };
-            let tuned = run_cgpa_tuned_auto(k, cfg, himem_tuning).unwrap_or_else(|e| {
-                eprintln!("{}: auto-tune failed: {e}", k.name);
-                std::process::exit(1);
-            });
-
-            let skipped = legup_ev.stats.as_ref().map_or(0, |s| s.skipped_cycles)
-                + cgpa_ev.stats.as_ref().map_or(0, |s| s.skipped_cycles);
-            let e = BenchEntry {
-                name: k.name.clone(),
-                compile_ms,
-                sim_ms_event,
-                sim_ms_reference,
-                legup_cycles: legup_ev.cycles,
-                cgpa_cycles: cgpa_ev.cycles,
-                skipped_cycles: skipped,
-                himem_ms_event,
-                himem_ms_reference,
-                himem_cycles: himem_cyc_ev,
-                himem_cgpa_cycles: tuned.baseline_cycles,
-                himem_tuned_cycles: tuned.best.cycles,
-                tuned_workers: tuned.profile.workers,
-                tuned_fifo_depth_beats: tuned.profile.fifo_depth_beats,
-                tuned_bottleneck: tuned.profile.bottleneck_summary(),
-            };
-            println!(
-                "{:<14} {:>8.1}ms {:>8.1}ms {:>8.1}ms {:>8.2}x {:>8.2}x {:>12} {:>12} {:>8.2}x",
-                e.name,
-                e.compile_ms,
-                e.sim_ms_event,
-                e.sim_ms_reference,
-                e.engine_speedup(),
-                e.himem_engine_speedup(),
-                e.legup_cycles,
-                e.cgpa_cycles,
-                e.speedup_vs_legup()
-            );
-            e
-        })
-        .collect();
-    let total_wall_ms = wall.elapsed().as_secs_f64() * 1e3;
-    println!();
-    println!(
-        "== Profile-guided tuning at {HIMEM_MISS_LATENCY}-cycle misses, \
-         {HIMEM_CACHE_LINES}-line cache (CGPA P1) =="
-    );
-    println!(
-        "{:<14} {:>12} {:>12} {:>8} {:>8} {:>6}  bottleneck",
-        "benchmark", "default cyc", "tuned cyc", "speedup", "workers", "fifo"
+        "{:<14} {:>10} {:>10} {:>10} {:>10} {:>9}",
+        "benchmark", "MIPS", "LegUp", "CGPA(P1)", "CGPA(P2)", "P1/LegUp"
     );
     for e in &entries {
+        let r = &e.report;
+        let p2 = r.cgpa_p2.as_ref().map_or_else(|| "-".to_string(), |p| p.cycles.to_string());
         println!(
-            "{:<14} {:>12} {:>12} {:>7.2}x {:>8} {:>6}  {}",
-            e.name,
-            e.himem_cgpa_cycles,
-            e.himem_tuned_cycles,
-            e.tuned_speedup(),
-            e.tuned_workers,
-            e.tuned_fifo_depth_beats,
-            e.tuned_bottleneck
+            "{:<14} {:>10} {:>10} {:>10} {:>10} {:>8.2}x",
+            r.name,
+            r.mips.cycles,
+            r.legup.cycles,
+            r.cgpa_p1.cycles,
+            p2,
+            r.cgpa_over_legup()
         );
     }
-    let speedups: Vec<f64> = entries.iter().map(BenchEntry::engine_speedup).collect();
-    let himem: Vec<f64> = entries.iter().map(BenchEntry::himem_engine_speedup).collect();
-    println!(
-        "total {total_wall_ms:.1}ms; engine speedup geomean {}x default, {}x at {HIMEM_MISS_LATENCY}-cycle misses",
-        gm(&speedups),
-        gm(&himem)
-    );
     println!();
-
+    println!(
+        "== {HIMEM_MISS_LATENCY}-cycle misses, {HIMEM_CACHE_LINES}-line cache: LegUp, and CGPA(P1) \
+         before and after profile-guided tuning =="
+    );
+    println!(
+        "{:<14} {:>10} {:>12} {:>10} {:>8} {:>8} {:>5}  bottleneck",
+        "benchmark", "LegUp", "default", "tuned", "speedup", "workers", "fifo"
+    );
+    for e in &entries {
+        let t = &e.tuned;
+        println!(
+            "{:<14} {:>10} {:>12} {:>10} {:>7.2}x {:>8} {:>5}  {}",
+            e.report.name,
+            e.himem_legup.cycles,
+            t.baseline_cycles,
+            t.best.cycles,
+            t.speedup(),
+            t.profile.workers,
+            t.profile.fifo_depth_beats,
+            t.profile.bottleneck_summary()
+        );
+    }
+    println!();
+    println!("== Quick DSE recommendation (area budget {DEFAULT_AREA_BUDGET_ALUT} ALUTs) ==");
+    for e in &entries {
+        match &e.dse.recommended {
+            Some(o) => println!(
+                "{:<14} {:<26} {:>10} cycles {:>8} ALUTs  ({} frontier points)",
+                e.report.name,
+                o.point.label(),
+                o.cycles,
+                o.alut,
+                e.dse.frontier.len()
+            ),
+            None => println!("{:<14} -", e.report.name),
+        }
+    }
+    println!();
     if json {
         let path = format!("BENCH_{label}.json");
-        std::fs::write(&path, bench_json(label, set, &entries, total_wall_ms))
-            .expect("write bench json");
+        std::fs::write(&path, ledger::to_json(&entries)).expect("write bench json");
         eprintln!("wrote {path}");
     }
 }
 
-/// Hand-rolled JSON (the workspace takes no serialization dependency).
-fn bench_json(label: &str, set: KernelSet, entries: &[BenchEntry], total_wall_ms: f64) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"label\": \"{label}\",");
-    let _ =
-        writeln!(out, "  \"set\": \"{}\",", if set == KernelSet::Quick { "quick" } else { "full" });
-    let _ = writeln!(out, "  \"total_wall_ms\": {total_wall_ms:.3},");
-    let _ = writeln!(out, "  \"kernels\": [");
-    for (i, e) in entries.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"name\": \"{}\",", e.name);
-        let _ = writeln!(out, "      \"compile_ms\": {:.3},", e.compile_ms);
-        let _ = writeln!(out, "      \"sim_ms_event\": {:.3},", e.sim_ms_event);
-        let _ = writeln!(out, "      \"sim_ms_reference\": {:.3},", e.sim_ms_reference);
-        let _ = writeln!(out, "      \"engine_speedup\": {:.3},", e.engine_speedup());
-        let _ = writeln!(out, "      \"legup_cycles\": {},", e.legup_cycles);
-        let _ = writeln!(out, "      \"cgpa_cycles\": {},", e.cgpa_cycles);
-        let _ = writeln!(out, "      \"skipped_cycles\": {},", e.skipped_cycles);
-        let _ = writeln!(out, "      \"himem_miss_latency\": {HIMEM_MISS_LATENCY},");
-        let _ = writeln!(out, "      \"himem_sim_ms_event\": {:.3},", e.himem_ms_event);
-        let _ = writeln!(out, "      \"himem_sim_ms_reference\": {:.3},", e.himem_ms_reference);
-        let _ = writeln!(out, "      \"himem_engine_speedup\": {:.3},", e.himem_engine_speedup());
-        let _ = writeln!(out, "      \"himem_cycles\": {},", e.himem_cycles);
-        let _ = writeln!(out, "      \"himem_cgpa_cycles\": {},", e.himem_cgpa_cycles);
-        let _ = writeln!(out, "      \"himem_tuned_cycles\": {},", e.himem_tuned_cycles);
-        let _ = writeln!(out, "      \"himem_tuned_speedup\": {:.4},", e.tuned_speedup());
-        let _ = writeln!(out, "      \"tuned_workers\": {},", e.tuned_workers);
-        let _ = writeln!(out, "      \"tuned_fifo_depth_beats\": {},", e.tuned_fifo_depth_beats);
-        let _ = writeln!(out, "      \"speedup_vs_legup\": {:.4}", e.speedup_vs_legup());
-        let _ = writeln!(out, "    }}{}", if i + 1 < entries.len() { "," } else { "" });
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
+/// The opening of `PROFILE_*.json` and `DSE_*.json`: the brace, the label
+/// and the kernel set.
+fn json_header(label: &str, set: KernelSet) -> String {
+    let set = if set == KernelSet::Quick { "quick" } else { "full" };
+    format!("{{\n  \"label\": {},\n  \"set\": \"{set}\",\n", cgpa_obs::json::escape(label))
 }
 
 /// Per-kernel bottleneck report: compile each kernel as CGPA(P1), run it,
@@ -518,14 +283,7 @@ fn profile_cmd(set: KernelSet, json: bool, label: &str) {
     println!();
     write_csv("profile", "benchmark,bottleneck,cycles,max_stage_utilization", &csv_rows);
     if json {
-        let mut out = String::new();
-        let _ = writeln!(out, "{{");
-        let _ = writeln!(out, "  \"label\": \"{label}\",");
-        let _ = writeln!(
-            out,
-            "  \"set\": \"{}\",",
-            if set == KernelSet::Quick { "quick" } else { "full" }
-        );
+        let mut out = json_header(label, set);
         let _ = writeln!(out, "  \"profiles\": [");
         for (i, p) in profiles.iter().enumerate() {
             let _ = writeln!(
@@ -603,11 +361,7 @@ fn dse_cmd(set: KernelSet, json: bool, label: &str) {
     );
     let kernels = bench_kernels(set, 42);
     let mut csv_rows: Vec<String> = Vec::new();
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"label\": \"{label}\",");
-    let _ =
-        writeln!(out, "  \"set\": \"{}\",", if set == KernelSet::Quick { "quick" } else { "full" });
+    let mut out = json_header(label, set);
     let _ = writeln!(out, "  \"area_budget_alut\": {budget},");
     let _ = writeln!(out, "  \"kernels\": [");
     let mut first = true;
@@ -756,23 +510,8 @@ fn trace_cmd(set: KernelSet, kernel: &str, out: &str) {
     }
 }
 
-/// Simulated-cycle metrics gated by the regression tolerance. These are
-/// deterministic (seeded inputs, cycle-exact engines), so any drift is a
-/// real behaviour change.
-const COMPARE_CYCLE_METRICS: [&str; 5] =
-    ["legup_cycles", "cgpa_cycles", "himem_cycles", "himem_cgpa_cycles", "himem_tuned_cycles"];
-
-/// Wall-clock metrics: reported for information, never gating (CI machines
-/// are noisy).
-const COMPARE_INFO_METRICS: [&str; 4] =
-    ["compile_ms", "sim_ms_event", "sim_ms_reference", "himem_sim_ms_event"];
-
-/// Correctness ratios that must not fall below 1.0 when the baseline holds
-/// them: CGPA beating LegUp, and profile-guided tuning never hurting.
-const COMPARE_INVARIANTS: [&str; 2] = ["speedup_vs_legup", "himem_tuned_speedup"];
-
-/// Load a `BENCH_*.json`, exiting with code 2 on I/O or parse failure.
-fn load_bench_json(path: &str) -> cgpa_obs::json::Json {
+/// Load a JSON file, exiting with code 2 on an I/O or parse failure.
+fn load_json(path: &str) -> cgpa_obs::json::Json {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("cannot read {path}: {e}");
         std::process::exit(2);
@@ -783,106 +522,21 @@ fn load_bench_json(path: &str) -> cgpa_obs::json::Json {
     })
 }
 
-/// Numeric metric from a kernel entry, exiting with code 2 when the schema
-/// does not carry it (stale baseline — regenerate with `bench --json`).
-fn metric(doc_path: &str, kernel: &cgpa_obs::json::Json, name: &str) -> f64 {
-    kernel.get(name).and_then(cgpa_obs::json::Json::as_f64).unwrap_or_else(|| {
-        let kname = kernel.get("name").and_then(cgpa_obs::json::Json::as_str).unwrap_or("?");
-        eprintln!(
-            "{doc_path}: kernel {kname} lacks metric `{name}` — regenerate with \
-             `experiments bench --quick --json`"
-        );
-        std::process::exit(2);
-    })
-}
-
-/// Diff `new_path` against `baseline_path` per kernel and metric.
-/// Exit codes: 0 clean, 1 regression or invariant flip, 2 usage/schema.
-fn compare_cmd(new_path: &str, baseline_path: &str, max_regress_pct: f64) {
-    use cgpa_obs::json::Json;
-
-    let base = load_bench_json(baseline_path);
-    let new = load_bench_json(new_path);
-    let get_set = |d: &Json| d.get("set").and_then(Json::as_str).unwrap_or("?").to_string();
-    let (base_set, new_set) = (get_set(&base), get_set(&new));
-    let kernel_list = |d: &Json| -> Vec<Json> {
-        d.get("kernels").and_then(Json::as_arr).map(<[Json]>::to_vec).unwrap_or_default()
-    };
-    let base_kernels = kernel_list(&base);
-    let new_kernels = kernel_list(&new);
-
-    println!(
-        "== Compare {new_path} vs {baseline_path} (tolerance {max_regress_pct}% on simulated cycles) =="
-    );
-    let mut failures: Vec<String> = Vec::new();
-    if base_set != new_set {
-        failures
-            .push(format!("kernel set changed: baseline ran `{base_set}`, new ran `{new_set}`"));
+/// Diff the ledger at `new_path` against the one at `baseline_path`. Exit
+/// codes: 0 equal, 1 any difference (every differing path is printed), 2
+/// usage, read or parse error.
+fn compare_cmd(new_path: &str, baseline_path: &str) {
+    let diffs = ledger::diff(&load_json(baseline_path), &load_json(new_path));
+    if diffs.is_empty() {
+        println!("{new_path} equals {baseline_path}");
+        return;
     }
-    let names = |ks: &[Json]| -> Vec<String> {
-        ks.iter().map(|k| k.get("name").and_then(Json::as_str).unwrap_or("?").to_string()).collect()
-    };
-    let (base_names, new_names) = (names(&base_kernels), names(&new_kernels));
-    if base_names != new_names {
-        failures.push(format!(
-            "kernel list changed: baseline [{}] vs new [{}]",
-            base_names.join(", "),
-            new_names.join(", ")
-        ));
+    println!("{new_path} differs from {baseline_path} at {} path(s):", diffs.len());
+    for d in &diffs {
+        println!("  {d}");
     }
-
-    for (bk, nk) in base_kernels.iter().zip(&new_kernels) {
-        let kname = bk.get("name").and_then(Json::as_str).unwrap_or("?");
-        for m in COMPARE_CYCLE_METRICS {
-            let b = metric(baseline_path, bk, m);
-            let n = metric(new_path, nk, m);
-            let delta_pct = if b > 0.0 { (n - b) / b * 100.0 } else { 0.0 };
-            let verdict = if n > b * (1.0 + max_regress_pct / 100.0) {
-                failures.push(format!("{kname}/{m}: {b:.0} -> {n:.0} (+{delta_pct:.2}%)"));
-                "REGRESSION"
-            } else if (n - b).abs() > f64::EPSILON {
-                "changed"
-            } else {
-                "ok"
-            };
-            if verdict != "ok" {
-                println!(
-                    "  {kname:<14} {m:<22} {b:>12.0} -> {n:>12.0} ({delta_pct:+.2}%) {verdict}"
-                );
-            }
-        }
-        for m in COMPARE_INVARIANTS {
-            let b = metric(baseline_path, bk, m);
-            let n = metric(new_path, nk, m);
-            if b >= 1.0 && n < 1.0 {
-                failures.push(format!(
-                    "{kname}/{m}: invariant flipped ({b:.3} -> {n:.3}; must stay >= 1.0)"
-                ));
-                println!("  {kname:<14} {m:<22} {b:>12.3} -> {n:>12.3} INVARIANT FLIP");
-            }
-        }
-        for m in COMPARE_INFO_METRICS {
-            // Informational only: wall-clock noise must not gate CI.
-            let b = metric(baseline_path, bk, m);
-            let n = metric(new_path, nk, m);
-            if b > 0.0 && (n - b).abs() / b > 0.5 {
-                println!(
-                    "  {kname:<14} {m:<22} {b:>12.3} -> {n:>12.3} ({:+.1}%, wall-clock, not gating)",
-                    (n - b) / b * 100.0
-                );
-            }
-        }
-    }
-
-    if failures.is_empty() {
-        println!("clean: no simulated-cycle regressions past {max_regress_pct}%, invariants hold");
-    } else {
-        println!("{} failure(s):", failures.len());
-        for f in &failures {
-            println!("  FAIL {f}");
-        }
-        std::process::exit(1);
-    }
+    println!("if every change is intended: experiments bench --json --label baseline");
+    std::process::exit(1);
 }
 
 fn run_suite(set: KernelSet) -> Vec<BenchmarkReport> {
@@ -1121,4 +775,17 @@ fn scalability(set: KernelSet) {
     }
     write_csv("scalability", "benchmark,workers,cycles", &csv_rows);
     println!();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cgpa_obs::json::Json;
+
+    #[test]
+    fn json_header_escapes_the_label() {
+        let doc = format!("{}  \"profiles\": []\n}}\n", json_header("a\"b\\c", KernelSet::Quick));
+        let doc = Json::parse(&doc).expect("a label with quotes still parses");
+        assert_eq!(doc.get("label").and_then(Json::as_str), Some("a\"b\\c"));
+    }
 }
