@@ -468,14 +468,19 @@ pub(crate) fn explore(
         }
     }
     // Every point is verified in full against one reference.
-    let reference = if sims.is_empty() { None } else { Some(reference(k)?) };
-    let runs = par_map_capped(&sims, cap, |(p, cfg, design)| {
-        let design = Design::Compiled(design);
-        let spec = RunSpec { config: *cfg, tuning: p.tuning(&env), design, ..RunSpec::default() };
-        run_with(k, &spec, reference.as_ref())
-            .map(|run| outcome_of(*p, &run.result))
-            .map_err(|e| e.to_string())
-    });
+    let runs = if sims.is_empty() {
+        Vec::new()
+    } else {
+        let reference = reference(k)?;
+        par_map_capped(&sims, cap, |(p, cfg, design)| {
+            let design = Design::Compiled(design);
+            let tuning = p.tuning(&env);
+            let spec = RunSpec { config: *cfg, tuning, design, ..RunSpec::default() };
+            run_with(k, &spec, &reference)
+                .map(|run| outcome_of(*p, &run.result))
+                .map_err(|e| e.to_string())
+        })
+    };
     let mut evaluated: Vec<DseOutcome> = Vec::new();
     for ((p, _, _), r) in sims.iter().zip(runs) {
         match r {

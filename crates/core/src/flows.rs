@@ -13,6 +13,22 @@
 //! shorthands over it. Every hardware run validates the final memory image
 //! and return value against the functional reference before reporting
 //! numbers.
+//!
+//! [`run`] spawns one scoped thread that interprets the reference while the
+//! calling thread compiles and simulates; verification joins it, so the
+//! check costs the longer of the two instead of their sum. Errors keep one
+//! order:
+//!
+//! - a flow that fails before verification (compile, simulation, the
+//!   parent program) returns that error; the reference's outcome, even a
+//!   panic, is joined and discarded;
+//! - a flow that reaches verification with a failed reference returns
+//!   [`FlowError::Interp`] with the message `"<kernel> reference: …"`;
+//! - a reference that panicked is resumed in the caller.
+//!
+//! [`run_cgpa_tuned_auto`] and [`run_cgpa_dse`] verify many runs of one
+//! kernel, so they compute the reference once, up front, and compare every
+//! run with it.
 
 use crate::compiler::{
     CgpaCompiler, CgpaConfig, CompileError, Compiled, DegradationPolicy, DegradationRung,
@@ -29,7 +45,7 @@ use cgpa_sim::interp::run_with_accelerator;
 use cgpa_sim::mips::{run_mips as sim_run_mips, MipsConfig};
 use cgpa_sim::{FaultPlan, HwConfig, HwError, HwSystem, SimEngine, SimMemory, SystemStats, Value};
 use std::error::Error;
-use std::fmt;
+use std::{fmt, panic, thread};
 
 /// Result of one kernel run under one configuration.
 #[derive(Debug, Clone)]
@@ -211,11 +227,31 @@ pub struct Run {
 /// simulate, verify against the functional reference, and estimate area
 /// and power.
 ///
+/// The functional reference is interpreted on one scoped thread, spawned on
+/// entry, while the calling thread compiles and simulates; verification
+/// joins it (see the [module docs](self) for the error order).
+///
 /// # Errors
 /// See [`FlowError`]. [`FlowError::Compile`] from [`Design::Degrade`] means
-/// even the sequential fallback could not be scheduled.
+/// even the sequential fallback could not be scheduled. A flow that fails
+/// before verification returns that error, whatever the reference did; one
+/// that reaches verification with a failed reference returns
+/// [`FlowError::Interp`] naming the reference.
+///
+/// # Panics
+/// Resumes a panic of the reference interpreter once the flow reaches
+/// verification.
 pub fn run(k: &BuiltKernel, spec: &RunSpec) -> Result<Run, FlowError> {
-    run_with(k, spec, None)
+    thread::scope(|s| {
+        let pending = s.spawn(|| reference(k));
+        let executed = execute(k, spec);
+        // Join on every path: a handle left unjoined would make the scope
+        // re-raise a panic whose reference is discarded.
+        let reference = pending.join();
+        let executed = executed?;
+        let reference = reference.unwrap_or_else(|payload| panic::resume_unwind(payload))?;
+        executed.verify(k, &reference)
+    })
 }
 
 /// Run the kernel as a LegUp-style sequential accelerator: one FSM worker,
@@ -256,19 +292,25 @@ pub fn run_cgpa_tuned(
     run(k, &RunSpec { config, tuning, ..RunSpec::default() }).map(|r| r.result)
 }
 
-/// [`run`], verified against `reference` when given (callers that verify
-/// several runs of one kernel compute the reference once).
+/// [`run`], verified against a precomputed `reference` (callers that verify
+/// several runs of one kernel compute it once).
 pub(crate) fn run_with(
     k: &BuiltKernel,
     spec: &RunSpec,
-    reference: Option<&Reference>,
+    reference: &Reference,
 ) -> Result<Run, FlowError> {
+    execute(k, spec)?.verify(k, reference)
+}
+
+/// Compile (per `spec.design`), simulate, and estimate area and power;
+/// verification is left to the caller.
+fn execute(k: &BuiltKernel, spec: &RunSpec) -> Result<Executed, FlowError> {
     let recorder = spec.trace.then(Recorder::new);
     let mut config = spec.config;
     let mut rung = None;
     let owned: Compiled;
     let compiled = match spec.design {
-        Design::Sequential => return run_sequential(k, spec, recorder, reference, "LegUp"),
+        Design::Sequential => return run_sequential(k, spec, recorder, "LegUp"),
         Design::Compiled(c) => c,
         Design::Compile => {
             let compiler = CgpaCompiler::new(config);
@@ -296,10 +338,9 @@ pub(crate) fn run_with(
                     &owned
                 }
                 DegradedCompile::Sequential { .. } => {
-                    let mut run =
-                        run_sequential(k, spec, recorder, reference, "CGPA(seq-fallback)")?;
-                    run.result.rung = Some(DegradationRung::Sequential);
-                    return Ok(run);
+                    let mut executed = run_sequential(k, spec, recorder, "CGPA(seq-fallback)")?;
+                    executed.run.result.rung = Some(DegradationRung::Sequential);
+                    return Ok(executed);
                 }
             }
         }
@@ -351,7 +392,6 @@ pub(crate) fn run_with(
     })?;
     let (stats, faults) =
         captured.ok_or_else(|| FlowError::Interp("fork never executed".to_string()))?;
-    verify_memory(k, &mem, ret, reference)?;
 
     let label = match config.placement {
         ReplicablePlacement::Pipelined => "CGPA(P1)",
@@ -362,7 +402,8 @@ pub(crate) fn run_with(
     let mut result = finish(k, label, stats, worker_areas, fifo_area(&amodel, channels), hw);
     result.shape = Some(compiled.shape.clone());
     result.rung = rung;
-    Ok(Run { result, profile: Some(profile), faults, recorder })
+    let run = Run { result, profile: Some(profile), faults, recorder };
+    Ok(Executed { run, mem, ret })
 }
 
 /// The sequential design: the whole kernel as one FSM worker.
@@ -370,17 +411,16 @@ fn run_sequential(
     k: &BuiltKernel,
     spec: &RunSpec,
     recorder: Option<Recorder>,
-    reference: Option<&Reference>,
     label: &str,
-) -> Result<Run, FlowError> {
+) -> Result<Executed, FlowError> {
     let hw = hw_config(spec.tuning, 1);
     let mut mem = k.mem.clone();
     let mut sys = HwSystem::for_single(&k.func, &k.args, hw);
     let stats = simulate(&mut sys, &mut mem, spec, recorder.as_ref(), 2)?;
-    verify_memory(k, &mem, sys.ret_value(), reference)?;
     let area = estimate_area(&AreaModel::default(), &k.func, &sys.fsms()[0]);
     let result = finish(k, label, stats, vec![area], AreaReport::default(), hw);
-    Ok(Run { result, profile: None, faults: sys.fault_plan().cloned(), recorder })
+    let run = Run { result, profile: None, faults: sys.fault_plan().cloned(), recorder };
+    Ok(Executed { run, mem, ret: sys.ret_value() })
 }
 
 /// The simulator configuration `tuning` describes for `workers` workers.
@@ -556,7 +596,7 @@ pub fn run_cgpa_tuned_auto(
     let mut best: Option<(RunResult, Profile)> = None;
     let mut baseline_cycles = 0u64;
     for _ in 0..TUNE_MAX_ITERS {
-        let run = run_with(k, &RunSpec { config, tuning, ..RunSpec::default() }, Some(&reference))?;
+        let run = run_with(k, &RunSpec { config, tuning, ..RunSpec::default() }, &reference)?;
         let profile = run.profile.expect("pipeline runs are profiled");
         let cycles = run.result.cycles;
         let accepted = match &best {
@@ -624,37 +664,34 @@ pub(crate) fn reference(k: &BuiltKernel) -> Result<Reference, FlowError> {
     k.try_reference().map_err(|e| FlowError::Interp(format!("{} reference: {e}", k.name)))
 }
 
-/// Compare a hardware run's memory and return value against `reference`,
-/// computing it when not given.
-fn verify_memory(
-    k: &BuiltKernel,
-    mem: &SimMemory,
+/// A finished hardware run whose final memory image and return value are
+/// still to be checked against the reference.
+struct Executed {
+    run: Run,
+    mem: SimMemory,
     ret: Option<Value>,
-    reference: Option<&Reference>,
-) -> Result<(), FlowError> {
-    let computed;
-    let (ref_mem, ref_ret) = match reference {
-        Some(r) => r,
-        None => {
-            computed = self::reference(k)?;
-            &computed
+}
+
+impl Executed {
+    /// The run, once its memory and return value match `reference`.
+    fn verify(self, k: &BuiltKernel, (ref_mem, ref_ret): &Reference) -> Result<Run, FlowError> {
+        let Executed { run, mem, ret } = self;
+        if mem.read_bytes(0, mem.size()) != ref_mem.read_bytes(0, ref_mem.size()) {
+            let diffs = cgpa_sim::diff_memories(&mem, ref_mem, 8);
+            return Err(FlowError::Mismatch(format!(
+                "{}: memory state differs\n{}",
+                k.name,
+                cgpa_sim::render_diffs(&diffs, None)
+            )));
         }
-    };
-    if mem.read_bytes(0, mem.size()) != ref_mem.read_bytes(0, ref_mem.size()) {
-        let diffs = cgpa_sim::diff_memories(mem, ref_mem, 8);
-        return Err(FlowError::Mismatch(format!(
-            "{}: memory state differs\n{}",
-            k.name,
-            cgpa_sim::render_diffs(&diffs, None)
-        )));
+        if ret != *ref_ret {
+            return Err(FlowError::Mismatch(format!(
+                "{}: return value {ret:?} != {ref_ret:?}",
+                k.name
+            )));
+        }
+        Ok(run)
     }
-    if ret != *ref_ret {
-        return Err(FlowError::Mismatch(format!(
-            "{}: return value {ret:?} != {ref_ret:?}",
-            k.name
-        )));
-    }
-    Ok(())
 }
 
 #[cfg(test)]

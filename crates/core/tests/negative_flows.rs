@@ -5,7 +5,7 @@
 use cgpa::compiler::{CgpaCompiler, CgpaConfig, CompileError};
 use cgpa::flows::{run_cgpa, FlowError};
 use cgpa_analysis::MemoryModel;
-use cgpa_ir::{builder::FunctionBuilder, inst::IntPredicate, BinOp, Function, Ty};
+use cgpa_ir::{builder::FunctionBuilder, inst::IntPredicate, BinOp, Function, Ty, ValueId};
 use cgpa_kernels::BuiltKernel;
 use cgpa_pipeline::PartitionError;
 use cgpa_sim::{SimMemory, Value};
@@ -13,6 +13,34 @@ use cgpa_sim::{SimMemory, Value};
 /// `for (i = 0; i < n; i++) *acc = *acc + a[i];` — a memory-carried
 /// reduction through one cell.
 fn acc_loop() -> Function {
+    let (mut b, _, _) = acc_loop_to_exit();
+    b.ret(None);
+    b.finish().unwrap()
+}
+
+/// [`acc_loop`] with an exit tail that runs a `Ptr * Ptr` multiply (legal to
+/// the IR verifier, unexecutable) only when the sum came out right: a
+/// pipeline that loses updates skips it, the functional reference cannot.
+fn acc_loop_poisoned_if_correct() -> Function {
+    let (mut b, a, acc) = acc_loop_to_exit();
+    let poison = b.append_block("poison");
+    let done = b.append_block("done");
+    let sum = b.load(acc, Ty::I32);
+    let expected = b.const_i32((1..=64).sum());
+    let correct = b.icmp(IntPredicate::Eq, sum, expected);
+    b.cond_br(correct, poison, done);
+    b.switch_to(poison);
+    let bad = b.binary(BinOp::Mul, a, a);
+    b.store(acc, bad);
+    b.br(done);
+    b.switch_to(done);
+    b.ret(None);
+    b.finish().unwrap()
+}
+
+/// The accumulator loop up to its exit block, which is left current and
+/// unterminated; also returns the `a` and `acc` parameters.
+fn acc_loop_to_exit() -> (FunctionBuilder, ValueId, ValueId) {
     let mut b =
         FunctionBuilder::new("acc", &[("a", Ty::Ptr), ("acc", Ty::Ptr), ("n", Ty::I32)], None);
     let a = b.param(0);
@@ -36,11 +64,10 @@ fn acc_loop() -> Function {
     b.store(acc, s);
     let i2 = b.binary(BinOp::Add, i, one);
     b.br(header);
-    b.switch_to(exit);
-    b.ret(None);
     b.add_phi_incoming(i, b.entry_block(), zero);
     b.add_phi_incoming(i, body, i2);
-    b.finish().unwrap()
+    b.switch_to(exit);
+    (b, a, acc)
 }
 
 fn workload(func: Function, model: MemoryModel) -> BuiltKernel {
@@ -63,6 +90,17 @@ fn workload(func: Function, model: MemoryModel) -> BuiltKernel {
     }
 }
 
+/// A model that falsely claims the accumulator cell is distinct per
+/// iteration, so the loop compiles to a pipeline.
+fn lying_model() -> MemoryModel {
+    let mut mm = MemoryModel::new();
+    let ra = mm.add_region("a", 4, true, false);
+    let racc = mm.add_region("acc", 4, false, true);
+    mm.bind_param(0, ra);
+    mm.bind_param(1, racc);
+    mm
+}
+
 #[test]
 fn sound_annotations_reject_the_sequential_loop() {
     // Honest model: `acc` is read-write, NOT distinct per iteration.
@@ -82,12 +120,7 @@ fn unsound_annotations_are_caught_by_verification() {
     // address every iteration. The partitioner then believes the loop is
     // parallel; the harness must catch the wrong result rather than report
     // a bogus speedup.
-    let mut mm = MemoryModel::new();
-    let ra = mm.add_region("a", 4, true, false);
-    let racc = mm.add_region("acc", 4, false, true); // FALSE claim
-    mm.bind_param(0, ra);
-    mm.bind_param(1, racc);
-    let k = workload(acc_loop(), mm);
+    let k = workload(acc_loop(), lying_model());
     match run_cgpa(&k, CgpaConfig::default()) {
         Err(FlowError::Mismatch(msg)) => {
             // The report pinpoints the corrupted words.
@@ -285,22 +318,62 @@ fn malformed_functions_are_typed_interpreter_errors() {
 #[test]
 fn a_failing_reference_is_a_typed_flow_error() {
     use cgpa::flows::{run_cgpa_dse, run_cgpa_tuned_auto, HwTuning};
-    use cgpa_sim::InterpError;
+    use cgpa_sim::{HwError, InterpError};
 
-    // The lying model lets the poisoned loop compile to a pipeline, so the
-    // explorer reaches its verification step; the reference cannot run.
-    let mut mm = MemoryModel::new();
-    let ra = mm.add_region("a", 4, true, false);
-    let racc = mm.add_region("acc", 4, false, true);
-    mm.bind_param(0, ra);
-    mm.bind_param(1, racc);
-    let k = workload(ptr_mul_loop(), mm);
+    // The lying model lets the poisoned loop compile to a pipeline; the
+    // reference cannot run.
+    let k = workload(ptr_mul_loop(), lying_model());
     assert!(matches!(k.try_reference(), Err(InterpError::UnsupportedOp(_))));
 
+    // `run` computes the reference beside compile and simulation. Here the
+    // pipeline executes the op too, and the hardware's error wins.
+    let err = run_cgpa(&k, CgpaConfig::default()).unwrap_err();
+    assert!(matches!(&err, FlowError::Hw(HwError::Unsupported(_))), "{err:?}");
+    // When the hardware run completes, verification reports the failed
+    // reference: the pipeline loses updates and skips the poisoned tail.
+    let skips = workload(acc_loop_poisoned_if_correct(), lying_model());
+    assert!(matches!(skips.try_reference(), Err(InterpError::UnsupportedOp(_))));
+    let err = run_cgpa(&skips, CgpaConfig::default()).unwrap_err();
+    assert!(matches!(&err, FlowError::Interp(m) if m.starts_with("acc reference: ")), "{err}");
+
+    // The tuner and the explorer compute their one reference up front.
     let err = run_cgpa_tuned_auto(&k, CgpaConfig::default(), HwTuning::default()).unwrap_err();
     assert!(matches!(&err, FlowError::Interp(m) if m.contains("reference")), "{err}");
     let lattice = cgpa::dse::DseLattice { workers: vec![1, 2], ..cgpa::dse::DseLattice::quick() };
     let cache = cgpa::dse::CompileCache::new();
     let err = run_cgpa_dse(&k, &lattice, HwTuning::default(), u32::MAX, &cache).unwrap_err();
     assert!(matches!(&err, FlowError::Interp(m) if m.contains("reference")), "{err}");
+}
+
+#[test]
+fn a_wrong_answer_is_a_mismatch() {
+    use cgpa::flows::{run, Design, RunSpec};
+    use cgpa_ir::{Const, ValueDef};
+    use cgpa_kernels::gaussblur;
+
+    // Compile a copy of the quick gaussblur whose first tap coefficient is
+    // doubled, then run that design against the unaltered kernel: every
+    // stored pixel differs from the reference.
+    let k = gaussblur::build(&gaussblur::Params { width: 512 }, 1);
+    let mut func = k.func.clone();
+    let coef = func
+        .values
+        .iter_mut()
+        .find_map(|v| match v {
+            ValueDef::Const(Const::F32(c)) => Some(c),
+            _ => None,
+        })
+        .expect("gaussblur has tap coefficients");
+    *coef *= 2.0;
+    let config = CgpaConfig::default();
+    let c = CgpaCompiler::new(config).compile(&func, &k.model).unwrap();
+    let design = Design::Compiled(&c);
+    let err = run(&k, &RunSpec { config, design, ..RunSpec::default() }).unwrap_err();
+    match err {
+        FlowError::Mismatch(msg) => {
+            assert!(msg.contains("gaussblur: memory state differs"), "{msg}");
+            assert!(msg.contains("differing word"), "diff report missing: {msg}");
+        }
+        other => panic!("want FlowError::Mismatch, got {other:?}"),
+    }
 }
