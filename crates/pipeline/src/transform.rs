@@ -25,7 +25,7 @@
 
 use crate::plan::{PipelinePlan, StageKind};
 use cgpa_analysis::pdg::DepKind;
-use cgpa_analysis::{Condensation, Pdg};
+use cgpa_analysis::{Condensation, Pdg, SccId};
 use cgpa_ir::cfg::Cfg;
 use cgpa_ir::dom::{idoms_of_graph, DomTree};
 use cgpa_ir::loops::{Loop, LoopInfo};
@@ -172,25 +172,21 @@ impl fmt::Display for TransformError {
 
 impl Error for TransformError {}
 
-/// Per-task needs computed before any code is emitted.
-#[derive(Debug, Default, Clone)]
-struct TaskNeeds {
-    /// Instructions cloned in the full body (stage SCCs + duplicated).
+/// What one cloned loop body contains, computed before any code is emitted.
+#[derive(Debug, Clone)]
+struct BodyNeeds {
+    /// Instructions cloned: a stage's SCCs plus the duplicated sections in
+    /// a task's full body, the duplicated sections alone in the reduced
+    /// body of a parallel task.
     included: BTreeSet<InstId>,
-    /// Conditional branches kept in the full body.
+    /// Conditional branches kept.
     branches: BTreeSet<InstId>,
-    /// Cross-stage values consumed by the full body, with the block at
-    /// whose top the communication happens (the def's block, or an inner
-    /// loop's exit block when the value is an inner reduction hoisted out —
-    /// the "last value" optimization).
+    /// Cross-stage values consumed, with the block at whose top the
+    /// communication happens (the def's block, or an inner loop's exit
+    /// block when the value is an inner reduction hoisted out — the "last
+    /// value" optimization). A value the reduced body consumes must reach
+    /// every worker, so its queue is a broadcast.
     cross: BTreeMap<ValueId, BlockId>,
-    /// Instructions cloned in the reduced body (duplicated only; used for
-    /// parallel stages).
-    included_b2: BTreeSet<InstId>,
-    /// Branches kept in the reduced body.
-    branches_b2: BTreeSet<InstId>,
-    /// Cross values consumed in the reduced body (these force broadcast).
-    cross_b2: BTreeMap<ValueId, BlockId>,
 }
 
 /// Run the pipeline transform.
@@ -288,43 +284,18 @@ pub fn transform_loop(
     let dom = DomTree::dominators(func, cfg);
     let loop_info = LoopInfo::compute(func, cfg, &dom);
 
-    // Control-dependence adjacency from the PDG: branch inst -> dependents
-    // handled through edges directly.
-
     // ---- per-stage needs ---------------------------------------------------
     let num_stages = plan.num_stages();
-    let mut needs: Vec<TaskNeeds> = Vec::with_capacity(num_stages);
-    for (si, stage) in plan.stages.iter().enumerate() {
-        let mut base: BTreeSet<InstId> = BTreeSet::new();
-        for &scc in &stage.sccs {
-            for &n in cond.members(scc) {
-                base.insert(pdg.nodes[n]);
-            }
-        }
-        for &scc in &plan.duplicated {
-            for &n in cond.members(scc) {
-                base.insert(pdg.nodes[n]);
-            }
-        }
-        let mut dup_only: BTreeSet<InstId> = BTreeSet::new();
-        for &scc in &plan.duplicated {
-            for &n in cond.members(scc) {
-                dup_only.insert(pdg.nodes[n]);
-            }
-        }
-        let (branches, cross) =
-            compute_body_needs(func, pdg, target, &loop_info, &base, &loop_insts)?;
-        let (branches_b2, cross_b2) =
-            compute_body_needs(func, pdg, target, &loop_info, &dup_only, &loop_insts)?;
-        needs.push(TaskNeeds {
-            included: base,
-            branches,
-            cross,
-            included_b2: dup_only,
-            branches_b2,
-            cross_b2,
-        });
-        let _ = si;
+    let members = |&scc: &SccId| cond.members(scc).iter().map(|&n| pdg.nodes[n]);
+    let duplicated: BTreeSet<InstId> = plan.duplicated.iter().flat_map(members).collect();
+    let body_needs =
+        |included| compute_body_needs(func, pdg, target, &loop_info, included, &loop_insts);
+    let reduced = body_needs(duplicated.clone())?;
+    let mut needs: Vec<BodyNeeds> = Vec::with_capacity(num_stages);
+    for stage in &plan.stages {
+        let mut included = duplicated.clone();
+        included.extend(stage.sccs.iter().flat_map(members));
+        needs.push(body_needs(included)?);
     }
 
     // ---- queue creation ----------------------------------------------------
@@ -346,11 +317,10 @@ pub fn transform_loop(
             debug_assert_ne!(producer, t, "cross value produced in its own stage");
             let consumer_parallel = plan.stages[t].kind == StageKind::Parallel;
             let producer_parallel = plan.stages[producer].kind == StageKind::Parallel;
-            let every_iteration = need.cross_b2.contains_key(&v);
             let kind = match (producer_parallel, consumer_parallel) {
                 (false, false) => QueueKind::Direct,
                 (false, true) => {
-                    if every_iteration {
+                    if reduced.cross.contains_key(&v) {
                         QueueKind::Broadcast
                     } else {
                         QueueKind::RoundRobin
@@ -409,6 +379,7 @@ pub fn transform_loop(
             func,
             target,
             config: &config,
+            stage: si,
             queues: &queues,
             queue_of: &queue_of,
             produces: &produces_by_stage[si],
@@ -419,8 +390,8 @@ pub fn transform_loop(
         };
         let name = format!("{}_stage{}", func.name, si);
         let mut task = match stage.kind {
-            StageKind::Sequential => builder_ctx.emit_sequential(si, &needs[si], &name)?,
-            StageKind::Parallel => builder_ctx.emit_parallel(si, &needs[si], &name)?,
+            StageKind::Sequential => builder_ctx.emit_sequential(&needs[si], &name)?,
+            StageKind::Parallel => builder_ctx.emit_parallel(&needs[si], &reduced, &name)?,
         };
         // Collapsed branches leave forwarding blocks; each would cost one
         // FSM state per iteration.
@@ -457,9 +428,9 @@ fn compute_body_needs(
     pdg: &Pdg,
     target: &Loop,
     loops: &LoopInfo,
-    included: &BTreeSet<InstId>,
+    included: BTreeSet<InstId>,
     loop_insts: &BTreeSet<InstId>,
-) -> Result<(BTreeSet<InstId>, BTreeMap<ValueId, BlockId>), TransformError> {
+) -> Result<BodyNeeds, TransformError> {
     let mut branches: BTreeSet<InstId> = target.exit_branches(func).into_iter().collect();
     let mut cross: BTreeMap<ValueId, BlockId> = BTreeMap::new();
     loop {
@@ -500,7 +471,7 @@ fn compute_body_needs(
                 }
             }
         };
-        for &i in included {
+        for &i in &included {
             scan(i, &mut uses_of);
         }
         for &b in &branches.clone() {
@@ -513,7 +484,7 @@ fn compute_body_needs(
             }
         }
         if !changed {
-            return Ok((branches, cross));
+            return Ok(BodyNeeds { included, branches, cross });
         }
     }
 }
@@ -594,6 +565,8 @@ struct TaskEmitter<'a> {
     func: &'a Function,
     target: &'a Loop,
     config: &'a TransformConfig,
+    /// The stage this task runs.
+    stage: usize,
     queues: &'a [QueueSpec],
     queue_of: &'a HashMap<(ValueId, usize), usize>,
     produces: &'a HashMap<ValueId, Vec<usize>>,
@@ -604,6 +577,7 @@ struct TaskEmitter<'a> {
 }
 
 /// One body's cloning state.
+#[derive(Default)]
 struct BodyState {
     /// Original value → task value.
     map: HashMap<ValueId, ValueId>,
@@ -611,6 +585,20 @@ struct BodyState {
     blocks: HashMap<BlockId, BlockId>,
     /// Cloned phis awaiting incoming fill: (task phi value, original inst).
     pending_phis: Vec<(ValueId, InstId)>,
+}
+
+/// The task-level blocks and values every body of one task shares.
+struct Frame {
+    entry: BlockId,
+    /// Where latches jump back to: the sequential header clone or the
+    /// parallel dispatch block.
+    head: BlockId,
+    exit: BlockId,
+    /// The iteration counter `it` and its increment.
+    it: ValueId,
+    it_next: ValueId,
+    /// The worker id of a parallel task.
+    wid: Option<ValueId>,
 }
 
 impl<'a> TaskEmitter<'a> {
@@ -672,88 +660,35 @@ impl<'a> TaskEmitter<'a> {
         b.binary(BinOp::And, it, mask)
     }
 
-    /// Emit the produce ops for a freshly cloned definition.
+    /// Emit the produces of queues `qis`: right after a freshly cloned
+    /// definition, or hoisted to the top of a cloned block (inner-loop exit
+    /// values). In the reduced body of a parallel task a hoisted value does
+    /// not exist (the producing section only runs on assigned iterations),
+    /// so values without a clone are skipped.
     fn emit_produces(
         &self,
         b: &mut FunctionBuilder,
-        orig_value: ValueId,
-        task_value: ValueId,
-        it: ValueId,
-        wid: Option<ValueId>,
+        state: &BodyState,
+        qis: Option<&Vec<usize>>,
+        frame: &Frame,
     ) -> Result<(), TransformError> {
-        let Some(qis) = self.produces.get(&orig_value) else { return Ok(()) };
-        for &qi in qis {
+        for &qi in qis.into_iter().flatten() {
             let q = &self.queues[qi];
-            match q.kind {
-                QueueKind::RoundRobin => {
-                    let sel = self.sel(b, it);
-                    b.produce(q.queue, sel, task_value);
-                }
-                QueueKind::Gather => {
-                    let w = wid.ok_or_else(|| {
-                        TransformError::Internal(
-                            "gather producer is not a parallel task".to_string(),
-                        )
-                    })?;
-                    b.produce(q.queue, w, task_value);
-                }
-                QueueKind::Direct => {
-                    let zero = b.const_i32(0);
-                    b.produce(q.queue, zero, task_value);
-                }
+            let Some(&task_value) = state.map.get(&q.value) else { continue };
+            let chan = match q.kind {
+                QueueKind::RoundRobin => self.sel(b, frame.it),
+                QueueKind::Gather => frame.wid.ok_or_else(|| {
+                    TransformError::Internal("gather producer is not a parallel task".to_string())
+                })?,
+                QueueKind::Direct => b.const_i32(0),
                 QueueKind::Broadcast => {
                     b.produce_broadcast(q.queue, task_value);
+                    continue;
                 }
-            }
+            };
+            b.produce(q.queue, chan, task_value);
         }
         Ok(())
-    }
-
-    /// Emit hoisted produces at the top of a cloned block (inner-loop exit
-    /// values). In the reduced body of a parallel task the value does not
-    /// exist (the producing section only runs on assigned iterations), so
-    /// unresolvable values are skipped.
-    fn emit_top_produces(
-        &self,
-        b: &mut FunctionBuilder,
-        state: &mut BodyState,
-        ob: BlockId,
-        it: ValueId,
-        wid: Option<ValueId>,
-    ) -> Result<(), TransformError> {
-        let Some(qis) = self.top_produces.get(&ob) else { return Ok(()) };
-        for &qi in qis {
-            let q = &self.queues[qi];
-            let Ok(task_value) = self.resolve_ref(state, q.value) else { continue };
-            match q.kind {
-                QueueKind::RoundRobin => {
-                    let sel = self.sel(b, it);
-                    b.produce(q.queue, sel, task_value);
-                }
-                QueueKind::Gather => {
-                    let w = wid.ok_or_else(|| {
-                        TransformError::Internal(
-                            "gather producer is not a parallel task".to_string(),
-                        )
-                    })?;
-                    b.produce(q.queue, w, task_value);
-                }
-                QueueKind::Direct => {
-                    let zero = b.const_i32(0);
-                    b.produce(q.queue, zero, task_value);
-                }
-                QueueKind::Broadcast => {
-                    b.produce_broadcast(q.queue, task_value);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Resolve without the builder (map lookups only; hoisted produces read
-    /// values that were cloned earlier in the body).
-    fn resolve_ref(&self, state: &BodyState, v: ValueId) -> Result<ValueId, ()> {
-        state.map.get(&v).copied().ok_or(())
     }
 
     /// Emit the consume for a cross value in a body, mapping it.
@@ -761,131 +696,115 @@ impl<'a> TaskEmitter<'a> {
         &self,
         b: &mut FunctionBuilder,
         state: &mut BodyState,
-        stage: usize,
         v: ValueId,
-        it: ValueId,
-        wid: Option<ValueId>,
+        frame: &Frame,
     ) {
-        let qi = self.queue_of[&(v, stage)];
+        let qi = self.queue_of[&(v, self.stage)];
         let q = &self.queues[qi];
         let chan = match q.kind {
-            QueueKind::RoundRobin | QueueKind::Broadcast => match wid {
+            QueueKind::RoundRobin | QueueKind::Broadcast => match frame.wid {
                 Some(w) => w,
                 None => b.const_i32(0),
             },
-            QueueKind::Gather => self.sel(b, it),
+            QueueKind::Gather => self.sel(b, frame.it),
             QueueKind::Direct => b.const_i32(0),
         };
         let got = b.consume(q.queue, chan, q.elem_ty);
         state.map.insert(v, got);
     }
 
-    /// Clone one body of the loop.
+    /// Clone the phis of block `ob` that are `included` and not yet mapped
+    /// in `state`, at the builder's position; returns their original
+    /// results.
+    fn clone_phis(
+        &self,
+        b: &mut FunctionBuilder,
+        state: &mut BodyState,
+        ob: BlockId,
+        included: &BTreeSet<InstId>,
+    ) -> Result<Vec<ValueId>, TransformError> {
+        let mut defs = Vec::new();
+        for &oi in &self.func.block(ob).insts {
+            let inst = self.func.inst(oi);
+            if !matches!(inst.op, Op::Phi { .. }) {
+                break;
+            }
+            let orig = inst
+                .result
+                .ok_or_else(|| TransformError::Internal("phi without a result".to_string()))?;
+            if !included.contains(&oi) || state.map.contains_key(&orig) {
+                continue;
+            }
+            let pv = b.phi(self.func.value_ty(orig), inst.name.as_deref().unwrap_or("phi"));
+            state.map.insert(orig, pv);
+            state.pending_phis.push((pv, oi));
+            defs.push(orig);
+        }
+        Ok(defs)
+    }
+
+    /// Clone one body of the loop into `state`.
     ///
-    /// `included`/`branches`/`cross` describe this body; `header_target` is
-    /// the block the latch jumps back to (the body's header clone for
-    /// sequential tasks, the dispatch block for parallel tasks);
-    /// `skip_header_phis` suppresses cloning of header phis (parallel tasks
-    /// hold them in the dispatch block; their mappings are pre-seeded).
-    #[allow(clippy::too_many_arguments)]
+    /// Only the blocks and phis `state` does not map yet are created: a
+    /// task clones its header phis beforehand (into the sequential header
+    /// clone or the parallel dispatch block) and pre-seeds their mappings.
+    /// Latches jump back to `frame.head`.
     fn clone_body(
         &self,
         b: &mut FunctionBuilder,
         state: &mut BodyState,
-        stage: usize,
-        included: &BTreeSet<InstId>,
-        branches: &BTreeSet<InstId>,
-        cross: &BTreeMap<ValueId, BlockId>,
-        header_target: Option<BlockId>,
-        task_exit: BlockId,
-        it: ValueId,
-        wid: Option<ValueId>,
+        body: &BodyNeeds,
+        frame: &Frame,
         label: &str,
     ) -> Result<(), TransformError> {
-        // Create all blocks first.
         for &ob in &self.target.blocks {
-            let nb = b.append_block(&format!("{label}_{}", self.func.block(ob).name));
-            state.blocks.insert(ob, nb);
+            if let std::collections::hash_map::Entry::Vacant(e) = state.blocks.entry(ob) {
+                e.insert(b.append_block(&format!("{label}_{}", self.func.block(ob).name)));
+            }
         }
         // Group cross values by their communication block.
         let mut cross_by_block: BTreeMap<BlockId, Vec<ValueId>> = BTreeMap::new();
-        for (&v, &pos) in cross {
+        for (&v, &pos) in &body.cross {
             cross_by_block.entry(pos).or_default().push(v);
         }
         for &ob in &self.target.blocks {
-            let nb = state.blocks[&ob];
-            b.switch_to(nb);
-            let is_header = ob == self.target.header;
-            // 1. Phis. In parallel tasks the header phis live in the
-            // dispatch block and are pre-seeded in `state.map`.
-            let mut phi_defs: Vec<ValueId> = Vec::new();
-            for &oi in &self.func.block(ob).insts {
-                let inst = self.func.inst(oi);
-                if !matches!(inst.op, Op::Phi { .. }) {
-                    break;
-                }
-                if !included.contains(&oi) || is_header {
-                    continue;
-                }
-                let orig = inst
-                    .result
-                    .ok_or_else(|| TransformError::Internal("phi without a result".to_string()))?;
-                let ty = self.func.value_ty(orig);
-                let pv = b.phi(ty, inst.name.as_deref().unwrap_or("phi"));
-                state.map.insert(orig, pv);
-                state.pending_phis.push((pv, oi));
-                phi_defs.push(orig);
+            b.switch_to(state.blocks[&ob]);
+            // 1. Phis and the produces of phi-defined cross values.
+            for orig in self.clone_phis(b, state, ob, &body.included)? {
+                self.emit_produces(b, state, self.produces.get(&orig), frame)?;
             }
-            // 2. Produces for phi-defined cross values, then consumes placed
-            // at the top of the def block.
-            for orig in phi_defs {
-                let newv = state.map[&orig];
-                self.emit_produces(b, orig, newv, it, wid)?;
+            // 2. Consumes placed at the top of the communication block, and
+            // hoisted produces.
+            for &v in cross_by_block.get(&ob).into_iter().flatten() {
+                self.emit_consume(b, state, v, frame);
             }
-            if let Some(vs) = cross_by_block.get(&ob) {
-                for &v in vs {
-                    self.emit_consume(b, state, stage, v, it, wid);
-                }
-            }
-            self.emit_top_produces(b, state, ob, it, wid)?;
+            self.emit_produces(b, state, self.top_produces.get(&ob), frame)?;
             // 3. Remaining instructions.
             for &oi in &self.func.block(ob).insts {
                 let inst = self.func.inst(oi);
-                match &inst.op {
-                    Op::Phi { .. } => {}
-                    op if op.is_terminator() => {
-                        self.clone_terminator(
-                            b,
-                            state,
-                            ob,
-                            oi,
-                            branches,
-                            header_target,
-                            task_exit,
-                        )?;
+                if inst.op.is_terminator() {
+                    self.clone_terminator(b, state, ob, oi, &body.branches, frame)?;
+                    continue;
+                }
+                if matches!(inst.op, Op::Phi { .. }) || !body.included.contains(&oi) {
+                    continue;
+                }
+                let mut op = inst.op.clone();
+                let mut err = None;
+                op.map_operands(|v| match self.resolve(b, state, v) {
+                    Ok(mv) => mv,
+                    Err(e) => {
+                        err = Some(e);
+                        v
                     }
-                    _ => {
-                        if !included.contains(&oi) {
-                            continue;
-                        }
-                        let mut op = inst.op.clone();
-                        let mut err = None;
-                        op.map_operands(|v| match self.resolve(b, state, v) {
-                            Ok(mv) => mv,
-                            Err(e) => {
-                                err = Some(e);
-                                v
-                            }
-                        });
-                        if let Some(e) = err {
-                            return Err(e);
-                        }
-                        let (_, res) = b.push_raw(op, inst.name.clone());
-                        if let (Some(orig), Some(newv)) = (inst.result, res) {
-                            state.map.insert(orig, newv);
-                            self.emit_produces(b, orig, newv, it, wid)?;
-                        }
-                    }
+                });
+                if let Some(e) = err {
+                    return Err(e);
+                }
+                let (_, res) = b.push_raw(op, inst.name.clone());
+                if let (Some(orig), Some(newv)) = (inst.result, res) {
+                    state.map.insert(orig, newv);
+                    self.emit_produces(b, state, self.produces.get(&orig), frame)?;
                 }
             }
         }
@@ -893,46 +812,41 @@ impl<'a> TaskEmitter<'a> {
     }
 
     /// Clone (or collapse) a block terminator.
-    #[allow(clippy::too_many_arguments)]
     fn clone_terminator(
         &self,
         b: &mut FunctionBuilder,
-        state: &mut BodyState,
+        state: &BodyState,
         ob: BlockId,
         oi: InstId,
         branches: &BTreeSet<InstId>,
-        header_target: Option<BlockId>,
-        task_exit: BlockId,
+        frame: &Frame,
     ) -> Result<(), TransformError> {
-        let map_target = |state: &BodyState, t: BlockId| -> BlockId {
+        let map_target = |t: BlockId| -> BlockId {
             if !self.target.contains(t) {
-                task_exit
+                frame.exit
             } else if t == self.target.header {
-                header_target.unwrap_or_else(|| state.blocks[&t])
+                frame.head
             } else {
                 state.blocks[&t]
             }
         };
         match &self.func.inst(oi).op {
             Op::Br { target } => {
-                let t = map_target(state, *target);
-                b.br(t);
+                b.br(map_target(*target));
             }
             Op::CondBr { cond, on_true, on_false } => {
                 if branches.contains(&oi) {
                     let c = self.resolve(b, state, *cond)?;
-                    let tt = map_target(state, *on_true);
-                    let ft = map_target(state, *on_false);
-                    b.cond_br(c, tt, ft);
+                    b.cond_br(c, map_target(*on_true), map_target(*on_false));
                 } else {
                     // Collapse to the acyclic immediate post-dominator.
                     let ip = self.acyclic_ipdom[ob.index()].ok_or_else(|| {
                         TransformError::Internal(format!("loop block {ob} has no acyclic ipdom"))
                     })?;
                     let t = if ip >= self.func.blocks.len() {
-                        task_exit
+                        frame.exit
                     } else {
-                        map_target(state, BlockId(ip as u32))
+                        map_target(BlockId(ip as u32))
                     };
                     b.br(t);
                 }
@@ -940,7 +854,7 @@ impl<'a> TaskEmitter<'a> {
             Op::Ret { .. } => {
                 // A `ret` inside a loop cannot occur (the loop would not be
                 // natural); treat as exit for robustness.
-                b.br(task_exit);
+                b.br(frame.exit);
             }
             other => {
                 return Err(TransformError::UnresolvedValue(format!(
@@ -951,357 +865,144 @@ impl<'a> TaskEmitter<'a> {
         Ok(())
     }
 
-    /// Fill pending phi incomings of one body.
+    /// Fill the incomings of `pending` phis. An edge from inside the loop
+    /// becomes one incoming per body; an edge from outside comes from the
+    /// task entry, with its value resolved in the first body.
     fn fill_phis(
         &self,
         b: &mut FunctionBuilder,
-        state: &BodyState,
-        entry_block: BlockId,
+        bodies: &[&BodyState],
+        entry: BlockId,
         pending: &[(ValueId, InstId)],
     ) -> Result<(), TransformError> {
         for &(pv, oi) in pending {
-            let Op::Phi { incomings, .. } = &self.func.inst(oi).op else { unreachable!() };
+            let Op::Phi { incomings, .. } = &self.func.inst(oi).op else {
+                return Err(TransformError::Internal("pending phi source is not a phi".into()));
+            };
             for (ob, ov) in incomings {
                 if self.target.contains(*ob) {
-                    let nb = state.blocks[ob];
-                    let nv = self.resolve_filled(b, state, *ov)?;
-                    b.add_phi_incoming(pv, nb, nv);
+                    for body in bodies {
+                        let nv = self.resolve(b, body, *ov)?;
+                        b.add_phi_incoming(pv, body.blocks[ob], nv);
+                    }
                 } else {
-                    let nv = self.resolve_filled(b, state, *ov)?;
-                    b.add_phi_incoming(pv, entry_block, nv);
+                    let nv = self.resolve(b, bodies[0], *ov)?;
+                    b.add_phi_incoming(pv, entry, nv);
                 }
             }
         }
         Ok(())
     }
 
-    fn resolve_filled(
+    /// Close the task's loop and finish it: enter `frame.head` from the
+    /// entry, fill the `it`, header and body phis, then store the liveouts
+    /// this stage owns (read from the first body) and return.
+    fn finish_task(
         &self,
-        b: &mut FunctionBuilder,
-        state: &BodyState,
-        v: ValueId,
-    ) -> Result<ValueId, TransformError> {
-        if let Some(&mv) = state.map.get(&v) {
-            return Ok(mv);
+        mut b: FunctionBuilder,
+        frame: &Frame,
+        header: &BodyState,
+        bodies: &[&BodyState],
+    ) -> Result<Function, TransformError> {
+        b.switch_to(frame.entry);
+        b.br(frame.head);
+
+        // it phi incomings: entry -> 0, every latch -> it_next.
+        let zero = b.const_i32(0);
+        b.add_phi_incoming(frame.it, frame.entry, zero);
+        for &latch in &self.target.latches {
+            for body in bodies {
+                b.add_phi_incoming(frame.it, body.blocks[&latch], frame.it_next);
+            }
         }
-        match self.func.value(v) {
-            ValueDef::Const(c) => Ok(intern(b, *c)),
-            _ => self
-                .live_ins
-                .iter()
-                .position(|&l| l == v)
-                .map(|p| b.param(p as u32))
-                .ok_or_else(|| TransformError::UnresolvedValue(format!("{v}"))),
+        self.fill_phis(&mut b, bodies, frame.entry, &header.pending_phis)?;
+        for &body in bodies {
+            self.fill_phis(&mut b, &[body], frame.entry, &body.pending_phis)?;
         }
+
+        b.switch_to(frame.exit);
+        for lo in self.liveouts {
+            if lo.owner_stage == self.stage {
+                let v = self.resolve(&mut b, bodies[0], lo.value)?;
+                b.store_liveout(lo.slot, v);
+            }
+        }
+        b.ret(None);
+
+        b.finish().map_err(|e| TransformError::UnresolvedValue(format!("verify: {e}")))
     }
 
     /// Emit a sequential-stage task.
-    fn emit_sequential(
-        &self,
-        stage: usize,
-        needs: &TaskNeeds,
-        name: &str,
-    ) -> Result<Function, TransformError> {
+    fn emit_sequential(&self, needs: &BodyNeeds, name: &str) -> Result<Function, TransformError> {
         let mut b = self.new_builder(name, false);
         let entry = b.entry_block();
-        let task_exit = b.append_block("task_exit");
-
-        let mut state =
-            BodyState { map: HashMap::new(), blocks: HashMap::new(), pending_phis: Vec::new() };
+        let exit = b.append_block("task_exit");
 
         // The `it` counter must exist before cloning (produce/consume
         // selectors use it), and phis must precede every other instruction
         // in the header clone, so build the header in three steps: the `it`
         // phi, the cloned header phis, then `it + 1` and any phi produces.
-        let header_clone = b.append_block("header");
-        state.blocks.insert(self.target.header, header_clone);
-        b.switch_to(header_clone);
+        let head = b.append_block("header");
+        b.switch_to(head);
         let it = b.phi(Ty::I32, "it");
-        let mut header_phi_defs: Vec<ValueId> = Vec::new();
-        for &oi in &self.func.block(self.target.header).insts {
-            let inst = self.func.inst(oi);
-            if !matches!(inst.op, Op::Phi { .. }) {
-                break;
-            }
-            if !needs.included.contains(&oi) {
-                continue;
-            }
-            let orig = inst
-                .result
-                .ok_or_else(|| TransformError::Internal("phi without a result".to_string()))?;
-            let pv = b.phi(self.func.value_ty(orig), inst.name.as_deref().unwrap_or("phi"));
-            state.map.insert(orig, pv);
-            state.pending_phis.push((pv, oi));
-            header_phi_defs.push(orig);
-        }
+        let mut header = BodyState::default();
+        let header_phi_defs =
+            self.clone_phis(&mut b, &mut header, self.target.header, &needs.included)?;
         let one = b.const_i32(1);
         let it_next = b.binary(BinOp::Add, it, one);
+        let frame = Frame { entry, head, exit, it, it_next, wid: None };
         for orig in header_phi_defs {
-            let newv = state.map[&orig];
-            self.emit_produces(&mut b, orig, newv, it, None)?;
+            self.emit_produces(&mut b, &header, self.produces.get(&orig), &frame)?;
         }
 
-        // Clone the body. `clone_body` will skip re-creating the header
-        // block because it is already in the map.
-        self.clone_body_with_preset_header(
-            &mut b,
-            &mut state,
-            stage,
-            &needs.included,
-            &needs.branches,
-            &needs.cross,
-            task_exit,
-            it,
-            None,
-            "s",
-        )?;
-
-        // Entry: jump to the header clone.
-        b.switch_to(entry);
-        b.br(header_clone);
-
-        // it phi incomings: entry -> 0, every latch -> it_next.
-        let zero = b.const_i32(0);
-        b.add_phi_incoming(it, entry, zero);
-        for &latch in &self.target.latches {
-            b.add_phi_incoming(it, state.blocks[&latch], it_next);
-        }
-
-        // Remaining phis.
-        let pending = std::mem::take(&mut state.pending_phis);
-        self.fill_phis(&mut b, &state, entry, &pending)?;
-
-        // Exit: liveouts + ret.
-        b.switch_to(task_exit);
-        for lo in self.liveouts {
-            if lo.owner_stage == stage {
-                let v = self.resolve_filled(&mut b, &state, lo.value)?;
-                b.store_liveout(lo.slot, v);
-            }
-        }
-        b.ret(None);
-
-        b.finish().map_err(|e| TransformError::UnresolvedValue(format!("verify: {e}")))
-    }
-
-    /// Variant of `clone_body` that respects a pre-created header block
-    /// (sequential tasks create the header early to host the `it` phi).
-    #[allow(clippy::too_many_arguments)]
-    fn clone_body_with_preset_header(
-        &self,
-        b: &mut FunctionBuilder,
-        state: &mut BodyState,
-        stage: usize,
-        included: &BTreeSet<InstId>,
-        branches: &BTreeSet<InstId>,
-        cross: &BTreeMap<ValueId, BlockId>,
-        task_exit: BlockId,
-        it: ValueId,
-        wid: Option<ValueId>,
-        label: &str,
-    ) -> Result<(), TransformError> {
-        // Create the remaining blocks.
-        for &ob in &self.target.blocks {
-            if let std::collections::hash_map::Entry::Vacant(e) = state.blocks.entry(ob) {
-                e.insert(b.append_block(&format!("{label}_{}", self.func.block(ob).name)));
-            }
-        }
-        let mut cross_by_block: BTreeMap<BlockId, Vec<ValueId>> = BTreeMap::new();
-        for (&v, &pos) in cross {
-            cross_by_block.entry(pos).or_default().push(v);
-        }
-        for &ob in &self.target.blocks {
-            let nb = state.blocks[&ob];
-            b.switch_to(nb);
-            let mut phi_defs: Vec<ValueId> = Vec::new();
-            for &oi in &self.func.block(ob).insts {
-                let inst = self.func.inst(oi);
-                if !matches!(inst.op, Op::Phi { .. }) {
-                    break;
-                }
-                let orig = inst
-                    .result
-                    .ok_or_else(|| TransformError::Internal("phi without a result".to_string()))?;
-                if !included.contains(&oi) || state.map.contains_key(&orig) {
-                    continue;
-                }
-                let pv = b.phi(self.func.value_ty(orig), inst.name.as_deref().unwrap_or("phi"));
-                state.map.insert(orig, pv);
-                state.pending_phis.push((pv, oi));
-                phi_defs.push(orig);
-            }
-            for orig in phi_defs {
-                let newv = state.map[&orig];
-                self.emit_produces(b, orig, newv, it, wid)?;
-            }
-            if let Some(vs) = cross_by_block.get(&ob) {
-                for &v in vs {
-                    self.emit_consume(b, state, stage, v, it, wid);
-                }
-            }
-            self.emit_top_produces(b, state, ob, it, wid)?;
-            for &oi in &self.func.block(ob).insts {
-                let inst = self.func.inst(oi);
-                match &inst.op {
-                    Op::Phi { .. } => {}
-                    op if op.is_terminator() => {
-                        self.clone_terminator(b, state, ob, oi, branches, None, task_exit)?;
-                    }
-                    _ => {
-                        if !included.contains(&oi) {
-                            continue;
-                        }
-                        let mut op = inst.op.clone();
-                        let mut err = None;
-                        op.map_operands(|v| match self.resolve(b, state, v) {
-                            Ok(mv) => mv,
-                            Err(e) => {
-                                err = Some(e);
-                                v
-                            }
-                        });
-                        if let Some(e) = err {
-                            return Err(e);
-                        }
-                        let (_, res) = b.push_raw(op, inst.name.clone());
-                        if let (Some(orig), Some(newv)) = (inst.result, res) {
-                            state.map.insert(orig, newv);
-                            self.emit_produces(b, orig, newv, it, wid)?;
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
+        // The body reuses the header clone as its header block.
+        let mut state = BodyState {
+            map: header.map.clone(),
+            blocks: HashMap::from([(self.target.header, head)]),
+            ..BodyState::default()
+        };
+        self.clone_body(&mut b, &mut state, needs, &frame, "s")?;
+        self.finish_task(b, &frame, &header, &[&state])
     }
 
     /// Emit a parallel-stage task with the two-loop-body dispatch of
-    /// Figure 1(e).
+    /// Figure 1(e): the full body for its own iterations, the reduced body
+    /// for the rest.
     fn emit_parallel(
         &self,
-        stage: usize,
-        needs: &TaskNeeds,
+        full: &BodyNeeds,
+        reduced: &BodyNeeds,
         name: &str,
     ) -> Result<Function, TransformError> {
         let mut b = self.new_builder(name, true);
         let wid = b.param(self.live_ins.len() as u32);
         let entry = b.entry_block();
-        let dispatch = b.append_block("dispatch");
-        let task_exit = b.append_block("task_exit");
+        let head = b.append_block("dispatch");
+        let exit = b.append_block("task_exit");
 
         // Dispatch phis: it + every included header phi (these are exactly
-        // the duplicated sections' loop-carried registers).
-        b.switch_to(dispatch);
+        // the duplicated sections' loop-carried registers). Both bodies see
+        // them, so neither clones them again.
+        b.switch_to(head);
         let it = b.phi(Ty::I32, "it");
-        // (original phi inst, original result, dispatch-block clone).
-        let mut header_phi_map: Vec<(InstId, ValueId, ValueId)> = Vec::new();
-        for &oi in &self.func.block(self.target.header).insts {
-            let inst = self.func.inst(oi);
-            if !matches!(inst.op, Op::Phi { .. }) {
-                break;
-            }
-            if !needs.included.contains(&oi) {
-                continue;
-            }
-            let orig = inst
-                .result
-                .ok_or_else(|| TransformError::Internal("phi without a result".to_string()))?;
-            let pv = b.phi(self.func.value_ty(orig), inst.name.as_deref().unwrap_or("phi"));
-            header_phi_map.push((oi, orig, pv));
-        }
+        let mut header = BodyState::default();
+        self.clone_phis(&mut b, &mut header, self.target.header, &full.included)?;
         let one = b.const_i32(1);
         let it_next = b.binary(BinOp::Add, it, one);
         let sel = self.sel(&mut b, it);
         let is_mine = b.icmp(IntPredicate::Eq, sel, wid);
+        let frame = Frame { entry, head, exit, it, it_next, wid: Some(wid) };
 
-        // Clone both bodies.
-        let mk_state = || {
-            let mut s =
-                BodyState { map: HashMap::new(), blocks: HashMap::new(), pending_phis: Vec::new() };
-            for &(_, orig, pv) in &header_phi_map {
-                s.map.insert(orig, pv);
-            }
-            s
-        };
-        let mut s1 = mk_state();
-        let mut s2 = mk_state();
-        self.clone_body(
-            &mut b,
-            &mut s1,
-            stage,
-            &needs.included,
-            &needs.branches,
-            &needs.cross,
-            Some(dispatch),
-            task_exit,
-            it,
-            Some(wid),
-            "b1",
-        )?;
-        self.clone_body(
-            &mut b,
-            &mut s2,
-            stage,
-            &needs.included_b2,
-            &needs.branches_b2,
-            &needs.cross_b2,
-            Some(dispatch),
-            task_exit,
-            it,
-            Some(wid),
-            "b2",
-        )?;
-
-        // Dispatch terminator.
-        b.switch_to(dispatch);
+        let mut s1 = BodyState { map: header.map.clone(), ..BodyState::default() };
+        let mut s2 = BodyState { map: header.map.clone(), ..BodyState::default() };
+        self.clone_body(&mut b, &mut s1, full, &frame, "b1")?;
+        self.clone_body(&mut b, &mut s2, reduced, &frame, "b2")?;
+        b.switch_to(head);
         b.cond_br(is_mine, s1.blocks[&self.target.header], s2.blocks[&self.target.header]);
 
-        // Entry.
-        b.switch_to(entry);
-        b.br(dispatch);
-
-        // Dispatch phi incomings.
-        let zero = b.const_i32(0);
-        b.add_phi_incoming(it, entry, zero);
-        for &latch in &self.target.latches {
-            b.add_phi_incoming(it, s1.blocks[&latch], it_next);
-            b.add_phi_incoming(it, s2.blocks[&latch], it_next);
-        }
-        for (oi, _, pv) in &header_phi_map {
-            let Op::Phi { incomings, .. } = &self.func.inst(*oi).op else {
-                return Err(TransformError::Internal("dispatch phi source is not a phi".into()));
-            };
-            for (ob, ov) in incomings {
-                if self.target.contains(*ob) {
-                    let v1 = self.resolve_filled(&mut b, &s1, *ov)?;
-                    b.add_phi_incoming(*pv, s1.blocks[ob], v1);
-                    let v2 = self.resolve_filled(&mut b, &s2, *ov)?;
-                    b.add_phi_incoming(*pv, s2.blocks[ob], v2);
-                } else {
-                    let init = self.resolve_filled(&mut b, &s1, *ov)?;
-                    b.add_phi_incoming(*pv, entry, init);
-                }
-            }
-        }
-
-        // Body phis.
-        let p1 = std::mem::take(&mut s1.pending_phis);
-        self.fill_phis(&mut b, &s1, entry, &p1)?;
-        let p2 = std::mem::take(&mut s2.pending_phis);
-        self.fill_phis(&mut b, &s2, entry, &p2)?;
-
-        // Exit. Duplicated liveouts (identical in every worker) are stored
-        // here when no sequential stage owns them.
-        b.switch_to(task_exit);
-        for lo in self.liveouts {
-            if lo.owner_stage == stage {
-                let v = self.resolve_filled(&mut b, &s1, lo.value)?;
-                b.store_liveout(lo.slot, v);
-            }
-        }
-        b.ret(None);
-
-        b.finish().map_err(|e| TransformError::UnresolvedValue(format!("verify: {e}")))
+        // Duplicated liveouts (identical in every worker) are stored here
+        // when no sequential stage owns them.
+        self.finish_task(b, &frame, &header, &[&s1, &s2])
     }
 }
 
