@@ -51,8 +51,7 @@ pub enum SimEngine {
     EventDriven,
     /// Cycle-by-cycle reference: interprets every worker's FSM state on
     /// every cycle. The semantic definition the event-driven engine is
-    /// tested against; forced whenever a waveform trace is armed, since a
-    /// waveform needs per-cycle observation.
+    /// tested against.
     PerCycle,
 }
 
@@ -185,11 +184,11 @@ impl Worker {
 }
 
 /// Structured-trace sink (see `cgpa-obs`): the shared recorder plus the
-/// trace process this system's events land in. Unlike the VCD [`Trace`],
-/// attaching one does **not** force the per-cycle stepper: every event it
-/// emits (iteration back edges, FIFO occupancy changes, finishes) can only
-/// occur on a cycle the event-driven engine evaluates anyway, so both
-/// engines produce bit-identical event streams.
+/// trace process this system's events land in. Like the VCD [`Trace`], it
+/// runs on either engine: every event it emits (iteration back edges, FIFO
+/// occupancy changes, finishes) can only occur on a cycle the event-driven
+/// engine evaluates anyway, so both engines produce bit-identical event
+/// streams.
 struct ObsSink {
     rec: Recorder,
     pid: u32,
@@ -309,9 +308,11 @@ impl<'m> HwSystem<'m> {
         }
     }
 
-    /// Record a waveform of this run (worker FSM states, finish flags,
-    /// FIFO occupancies). Retrieve it with [`HwSystem::take_trace`] after
-    /// [`HwSystem::run`].
+    /// Record a waveform of this run (worker FSM states, stall causes,
+    /// finish flags, FIFO occupancies). Retrieve it with
+    /// [`HwSystem::take_trace`] after [`HwSystem::run`]. Every change lands
+    /// on a cycle the event-driven engine evaluates, so both engines record
+    /// the same waveform.
     pub fn enable_trace(&mut self) {
         self.trace = Some(Trace::new(self.workers.len() as u32, self.queues.len() as u32));
     }
@@ -327,8 +328,7 @@ impl<'m> HwSystem<'m> {
     /// (iteration *N* begins at the cycle after its back edge and ends at
     /// its own), and one FIFO-occupancy counter track per queue set.
     ///
-    /// Unlike [`HwSystem::enable_trace`], this does **not** force the
-    /// per-cycle stepper: every emitted event falls on a cycle the
+    /// Either engine may run it: every emitted event falls on a cycle the
     /// event-driven engine evaluates anyway (back edges and occupancy
     /// changes require a non-blocked worker), so both engines record
     /// bit-identical streams.
@@ -439,15 +439,14 @@ impl<'m> HwSystem<'m> {
         self.workers[0].ret
     }
 
-    /// Run to completion with the configured engine (tracing forces the
-    /// per-cycle stepper so every cycle is observable).
+    /// Run to completion with the configured engine. Both engines record
+    /// the same VCD trace and structured-trace events.
     ///
     /// # Errors
     /// [`HwError::Timeout`] when fuel runs out, [`HwError::Deadlock`] when
     /// no worker progresses, [`HwError::Unsupported`] on host-only ops.
     pub fn run(&mut self, mem: &mut SimMemory) -> Result<SystemStats, HwError> {
-        let fast = self.cfg.engine == SimEngine::EventDriven && self.trace.is_none();
-        self.run_impl(mem, fast)
+        self.run_impl(mem, self.cfg.engine == SimEngine::EventDriven)
     }
 
     /// Run to completion with the per-cycle reference stepper, regardless

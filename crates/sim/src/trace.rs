@@ -7,9 +7,10 @@
 //! describes in §2.2 (the sequential stage running ahead, workers stalling
 //! on empty FIFOs) is directly visible.
 //!
-//! Arming a trace forces [`HwSystem::run`](crate::hw::HwSystem::run) onto
-//! the per-cycle reference stepper: the event-driven engine does not
-//! evaluate sleeping workers, and a waveform needs every cycle observed.
+//! Either engine of [`HwSystem::run`](crate::hw::HwSystem::run) records
+//! it. The event-driven engine does not evaluate sleeping workers, but
+//! every recorded change lands on a cycle it evaluates, so both engines
+//! render the same VCD text.
 
 use std::fmt::Write as _;
 
@@ -159,15 +160,10 @@ impl Trace {
         let _ = writeln!(out, "$date generated by cgpa-sim $end");
         let _ = writeln!(out, "$timescale 5ns $end"); // 200 MHz
         let _ = writeln!(out, "$scope module {design_name} $end");
-        // Identifier codes: printable ASCII starting at '!'.
-        let mut next_code = 33u8;
-        let mut code = move || {
-            let c = next_code as char;
-            next_code += 1;
-            if next_code == b'$' || next_code == b'#' {
-                next_code += 1;
-            }
-            c
+        let mut vars = 0;
+        let mut code = || {
+            vars += 1;
+            vcd_id(vars - 1)
         };
         let mut state_ids = Vec::new();
         let mut fin_ids = Vec::new();
@@ -224,6 +220,21 @@ impl Trace {
             }
         }
         out
+    }
+}
+
+/// The identifier code of the `n`th variable: bijective base 94 over the
+/// printable ASCII range `'!'..='~'`, least significant digit first, so
+/// every `n` gets a distinct code of one or more characters.
+fn vcd_id(mut n: usize) -> String {
+    let mut id = String::new();
+    loop {
+        id.push(char::from(b'!' + (n % 94) as u8));
+        n /= 94;
+        if n == 0 {
+            return id;
+        }
+        n -= 1;
     }
 }
 
@@ -287,16 +298,26 @@ mod tests {
 
     #[test]
     fn identifier_codes_are_unique() {
-        let t = Trace::new(8, 8);
+        // 80 workers and 8 queues: 248 variables, past the 94 one-character
+        // codes.
+        let t = Trace::new(80, 8);
         let vcd = t.to_vcd("wide");
         let ids: Vec<&str> = vcd
             .lines()
             .filter(|l| l.starts_with("$var"))
             .map(|l| l.split_whitespace().nth(3).expect("id"))
             .collect();
+        assert_eq!(ids.len(), 80 * 3 + 8);
+        for id in &ids {
+            assert!(!id.is_empty() && id.bytes().all(|c| (b'!'..=b'~').contains(&c)), "{id:?}");
+        }
         let mut dedup = ids.clone();
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), ids.len());
+        assert_eq!(
+            (vcd_id(0), vcd_id(93), vcd_id(94), vcd_id(95)),
+            ("!".into(), "~".into(), "!!".into(), "\"!".into())
+        );
     }
 }

@@ -4,13 +4,16 @@
 //! functional reference), identical cycle counts, and identical per-worker
 //! statistics — across every kernel, placement, the sequential fallback,
 //! the memory-starved and shallow-FIFO regimes, and under injected timing
-//! faults.
+//! faults — and the VCD waveforms the two engines record are the same text.
 
-use cgpa_repro::cgpa::compiler::CgpaConfig;
+use cgpa_repro::cgpa::compiler::{CgpaCompiler, CgpaConfig, Compiled};
 use cgpa_repro::cgpa::flows::{run, Design, FlowError, HwTuning, Run, RunResult, RunSpec};
 use cgpa_repro::kernels::{em3d, gaussblur, hash_index, kmeans, ks, BuiltKernel};
 use cgpa_repro::pipeline::ReplicablePlacement;
-use cgpa_repro::sim::{FaultClass, FaultPlan, SimEngine};
+use cgpa_repro::sim::{
+    run_with_accelerator, CacheConfig, FaultClass, FaultPlan, HwConfig, HwSystem, SimEngine,
+    SimMemory,
+};
 
 fn small_suite() -> Vec<BuiltKernel> {
     vec![
@@ -199,6 +202,97 @@ fn corrupting_faults_fail_identically() {
                     ev.map(|r| r.result.cycles),
                     rf.map(|r| r.result.cycles)
                 ),
+            }
+        }
+    }
+}
+
+/// Run `sys` with a waveform armed (and `faults`, if any) and render it.
+fn record_vcd(
+    sys: &mut HwSystem<'_>,
+    mem: &mut SimMemory,
+    faults: Option<&FaultPlan>,
+    name: &str,
+) -> Result<String, String> {
+    sys.enable_trace();
+    if let Some(plan) = faults {
+        sys.inject_faults(plan.clone());
+    }
+    sys.run(mem).map_err(|e| e.to_string())?;
+    Ok(sys.take_trace().expect("an armed trace").to_vcd(name))
+}
+
+/// The VCD text of `k` on `hw`: the sequential design when `compiled` is
+/// `None`, else every accelerator invocation's waveform in order.
+fn vcd_of(
+    k: &BuiltKernel,
+    compiled: Option<&Compiled>,
+    hw: HwConfig,
+    faults: Option<&FaultPlan>,
+) -> String {
+    let mut mem = k.mem.clone();
+    let Some(compiled) = compiled else {
+        let mut sys = HwSystem::for_single(&k.func, &k.args, hw);
+        return record_vcd(&mut sys, &mut mem, faults, &k.name)
+            .unwrap_or_else(|e| panic!("{}: {e}", k.name));
+    };
+    let pm = &compiled.pipeline;
+    let mut vcd = String::new();
+    run_with_accelerator(&pm.parent, &k.args, &mut mem, 4_000_000_000, &mut |_, live_ins, mem| {
+        let mut sys = HwSystem::for_pipeline(pm, live_ins, hw);
+        vcd += &record_vcd(&mut sys, mem, faults, &k.name)?;
+        Ok(sys.liveouts().to_vec())
+    })
+    .unwrap_or_else(|e| panic!("{}: {e}", k.name));
+    vcd
+}
+
+#[test]
+fn vcd_traces_match_reference() {
+    // Every recorded change (FSM state, stall cause, finish, FIFO
+    // occupancy) lands on a cycle the event-driven engine evaluates, so
+    // arming a waveform does not need the per-cycle stepper.
+    let tunings = [
+        ("default", HwConfig::default()),
+        (
+            "memory-starved",
+            HwConfig {
+                cache: CacheConfig { miss_latency: 400, lines: 2, ..CacheConfig::default() },
+                ..HwConfig::default()
+            },
+        ),
+        ("shallow-fifo", HwConfig { fifo_depth_beats: 2, ..HwConfig::default() }),
+    ];
+    let classes =
+        [FaultClass::StallWorker, FaultClass::MemLatencyBurst, FaultClass::PortContention];
+    let plans = [
+        ("none", None),
+        ("seed 1", Some(FaultPlan::seeded(&classes, 1))),
+        ("seed 23", Some(FaultPlan::seeded(&classes, 23))),
+    ];
+    for k in small_suite() {
+        let mut placements = vec![("P1", ReplicablePlacement::Pipelined)];
+        if has_p2(&k.name) {
+            placements.push(("P2", ReplicablePlacement::Replicated));
+        }
+        let compile = |placement| {
+            let config = CgpaConfig { placement, ..CgpaConfig::default() };
+            CgpaCompiler::new(config).compile(&k.func, &k.model).expect("compiles")
+        };
+        let compiled: Vec<_> = placements.iter().map(|&(d, p)| (d, Some(compile(p)))).collect();
+        for (design, c) in [("seq", None)].into_iter().chain(compiled) {
+            for (tuning, hw) in tunings {
+                for (faults, plan) in &plans {
+                    let label = format!("{}/{design}/{tuning}/faults {faults}", k.name);
+                    let [ev, rf] = [SimEngine::EventDriven, SimEngine::PerCycle].map(|engine| {
+                        vcd_of(&k, c.as_ref(), HwConfig { engine, ..hw }, plan.as_ref())
+                    });
+                    assert!(ev.contains("$enddefinitions $end\n"), "{label}: no VCD header");
+                    assert!(ev.lines().any(|l| l.starts_with('#')), "{label}: no value changes");
+                    let first_diff = ev.lines().zip(rf.lines()).position(|(e, r)| e != r);
+                    assert_eq!(first_diff, None, "{label}: VCD lines differ (0-based line index)");
+                    assert_eq!(ev.len(), rf.len(), "{label}: VCD lengths differ");
+                }
             }
         }
     }
