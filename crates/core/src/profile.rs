@@ -16,6 +16,7 @@
 //! so a profile built from an event-driven run equals the per-cycle one.
 
 use crate::compiler::Compiled;
+use cgpa_obs::json::escape;
 use cgpa_pipeline::StageKind;
 use cgpa_sim::SystemStats;
 use std::fmt::Write as _;
@@ -400,9 +401,9 @@ impl Profile {
             s,
             "\"kernel\":{},\"config\":{},\"shape\":{},\"workers\":{},\
              \"fifo_depth_beats\":{},\"cycles\":{}",
-            esc(&self.kernel),
-            esc(&self.config),
-            esc(&self.shape),
+            escape(&self.kernel),
+            escape(&self.config),
+            escape(&self.shape),
             self.workers,
             self.fifo_depth_beats,
             self.cycles
@@ -418,7 +419,7 @@ impl Profile {
                  \"stall_mem_read\":{},\"stall_mem_write\":{},\"stall_push\":{},\
                  \"stall_pop\":{},\"idle\":{},\"utilization\":{}}}",
                 st.stage,
-                esc(&st.name),
+                escape(&st.name),
                 st.parallel,
                 st.workers,
                 st.busy,
@@ -441,7 +442,7 @@ impl Profile {
                  \"depth_beats\":{},\"mean_occupancy\":{},\"full_fraction\":{},\
                  \"empty_fraction\":{},\"push_wait_cycles\":{},\"pop_wait_cycles\":{}}}",
                 q.queue,
-                esc(&q.name),
+                escape(&q.name),
                 q.producer_stage,
                 q.consumer_stage,
                 q.depth_beats,
@@ -468,7 +469,7 @@ impl Profile {
             num(m.stall_fraction)
         );
         s.push_str(",\"bottleneck\":{");
-        let _ = write!(s, "\"kind\":{}", esc(self.bottleneck.tag()));
+        let _ = write!(s, "\"kind\":{}", escape(self.bottleneck.tag()));
         match &self.bottleneck {
             Bottleneck::Stage { stage, utilization } => {
                 let _ = write!(s, ",\"stage\":{stage},\"utilization\":{}", num(*utilization));
@@ -484,7 +485,7 @@ impl Profile {
                 );
             }
         }
-        let _ = write!(s, ",\"summary\":{}", esc(&self.bottleneck_summary()));
+        let _ = write!(s, ",\"summary\":{}", escape(&self.bottleneck_summary()));
         s.push_str("}}");
         s
     }
@@ -535,26 +536,6 @@ fn diagnose(
     }
     // No waits anywhere: the busiest stage is the answer even if unsaturated.
     Bottleneck::Stage { stage: busiest.stage, utilization: busiest.utilization }
-}
-
-/// JSON string escape.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// JSON-safe float rendering (finite always; NaN/inf become 0).
@@ -668,7 +649,7 @@ mod tests {
 
     #[test]
     fn json_escapes_and_is_balanced() {
-        assert_eq!(esc("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
+        assert_eq!(escape("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
         assert_eq!(num(f64::NAN), "0.000000");
         let p = Profile {
             kernel: "k".into(),
