@@ -49,7 +49,7 @@ pub fn has_p2(name: &str) -> bool {
 // The canonical scoped-thread fan-out now lives in the library next to the
 // design-space explorer that shares it; re-exported here so existing
 // harness callers keep working.
-pub use cgpa::dse::{par_map, par_map_capped};
+pub use cgpa::dse::par_map;
 
 /// Run all configurations for one kernel. The four flows (MIPS, LegUp,
 /// CGPA-P1 and, where the paper reports it, CGPA-P2) run concurrently.
@@ -81,8 +81,8 @@ pub fn report_for(k: &BuiltKernel, workers: u32) -> Result<BenchmarkReport, Flow
     })
 }
 
-/// Run the whole suite, one kernel per thread (each kernel fans out further
-/// across its configurations in [`report_for`]).
+/// Run the whole suite, kernels spread over [`par_map`]'s threads (each
+/// kernel fans out further across its configurations in [`report_for`]).
 ///
 /// # Errors
 /// Forwards the first flow error (in kernel order).

@@ -35,37 +35,18 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Map `f` over `items` with one scoped thread per item, preserving input
-/// order. The matrices here are small (five kernels × a handful of
-/// configurations), so plain `std::thread::scope` is enough — no pool, no
-/// extra dependencies. Moved here from the bench harness so library flows
-/// (the explorer) and the harness share one implementation.
+/// Map `f` over `items` on scoped threads, preserving input order. At most
+/// `available_parallelism` threads pull items off a shared cursor: a DSE
+/// lattice can hold hundreds of points, and one thread per point would
+/// oversubscribe the host. Plain `std::thread::scope` — no pool, no extra
+/// dependencies. The explorer and the bench harness share it.
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let mut out: Vec<Option<R>> = Vec::with_capacity(items.len());
-    out.resize_with(items.len(), || None);
-    std::thread::scope(|s| {
-        for (slot, item) in out.iter_mut().zip(items) {
-            let f = &f;
-            s.spawn(move || *slot = Some(f(item)));
-        }
-    });
-    out.into_iter().map(|r| r.expect("scoped thread ran to completion")).collect()
-}
-
-/// [`par_map`] with at most `cap` worker threads pulling items off a shared
-/// cursor — the lattice can hold hundreds of points, and one thread per
-/// point would oversubscribe the host. Order is preserved.
-pub fn par_map_capped<T, R, F>(items: &[T], cap: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
+    let cap = std::thread::available_parallelism().map_or(4, usize::from);
     let cap = cap.clamp(1, items.len().max(1));
     let next = AtomicUsize::new(0);
     let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(items.len()));
@@ -451,9 +432,8 @@ pub(crate) fn explore(
         }
     }
 
-    let cap = std::thread::available_parallelism().map_or(4, usize::from);
     // Phase 1: compile each group once, through the memoizing cache.
-    let compiled = par_map_capped(&groups, cap, |(cfg, _)| {
+    let compiled = par_map(&groups, |(cfg, _)| {
         cache.get_or_compile(&k.func, &k.model, *cfg).map_err(|e| e.to_string())
     });
 
@@ -472,7 +452,7 @@ pub(crate) fn explore(
         Vec::new()
     } else {
         let reference = reference(k)?;
-        par_map_capped(&sims, cap, |(p, cfg, design)| {
+        par_map(&sims, |(p, cfg, design)| {
             let design = Design::Compiled(design);
             let tuning = p.tuning(&env);
             let spec = RunSpec { config: *cfg, tuning, design, ..RunSpec::default() };
@@ -577,12 +557,11 @@ mod tests {
     }
 
     #[test]
-    fn capped_map_preserves_order() {
+    fn par_map_preserves_order() {
         let items: Vec<u32> = (0..37).collect();
-        let doubled = par_map_capped(&items, 4, |x| x * 2);
+        let doubled = par_map(&items, |x| x * 2);
         assert_eq!(doubled, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-        // Degenerate caps.
-        assert_eq!(par_map_capped(&items, 0, |x| *x), items);
-        assert!(par_map_capped(&Vec::<u32>::new(), 3, |x| *x).is_empty());
+        assert_eq!(par_map(&items[..1], |x| *x), [0]);
+        assert!(par_map(&Vec::<u32>::new(), |x| *x).is_empty());
     }
 }

@@ -45,8 +45,8 @@ pub use compiler::{
     DegradedCompile,
 };
 pub use dse::{
-    dominates, par_map, par_map_capped, pareto_frontier, schedule_hash, CompileCache,
-    CompileCacheStats, DseLattice, DseOutcome, DsePoint, DseReport, DEFAULT_AREA_BUDGET_ALUT,
+    dominates, par_map, pareto_frontier, schedule_hash, CompileCache, CompileCacheStats,
+    DseLattice, DseOutcome, DsePoint, DseReport, DEFAULT_AREA_BUDGET_ALUT,
 };
 pub use flows::{
     run, run_cgpa, run_cgpa_dse, run_cgpa_tuned, run_cgpa_tuned_auto, run_legup, run_legup_engine,
