@@ -7,7 +7,7 @@ use cgpa::flows::{run_cgpa, FlowError};
 use cgpa_analysis::MemoryModel;
 use cgpa_ir::{builder::FunctionBuilder, inst::IntPredicate, BinOp, Function, Ty, ValueId};
 use cgpa_kernels::BuiltKernel;
-use cgpa_pipeline::PartitionError;
+use cgpa_pipeline::{PartitionError, TransformError};
 use cgpa_sim::{SimMemory, Value};
 
 /// `for (i = 0; i < n; i++) *acc = *acc + a[i];` — a memory-carried
@@ -112,6 +112,63 @@ fn sound_annotations_reject_the_sequential_loop() {
     let k = workload(acc_loop(), mm);
     let err = CgpaCompiler::new(CgpaConfig::default()).compile(&k.func, &k.model).unwrap_err();
     assert!(matches!(err, CompileError::Partition(PartitionError::NoParallelWork)));
+}
+
+/// `for (i = 0; i < n; i++) { if (a[i] == 0) return 1; b[i] = a[i] * a[i]; }
+/// return 0;` — a unique preheader, but two exit targets.
+fn early_return_loop() -> Function {
+    let mut b = FunctionBuilder::new(
+        "early_return",
+        &[("a", Ty::Ptr), ("b", Ty::Ptr), ("n", Ty::I32)],
+        Some(Ty::I32),
+    );
+    let (a, out, n) = (b.param(0), b.param(1), b.param(2));
+    let header = b.append_block("header");
+    let check = b.append_block("check");
+    let body = b.append_block("body");
+    let found = b.append_block("found");
+    let done = b.append_block("done");
+    let zero = b.const_i32(0);
+    let one = b.const_i32(1);
+    b.br(header);
+    b.switch_to(header);
+    let i = b.phi(Ty::I32, "i");
+    let c = b.icmp(IntPredicate::Slt, i, n);
+    b.cond_br(c, check, done);
+    b.switch_to(check);
+    let pa = b.gep(a, i, 4, 0);
+    let x = b.load(pa, Ty::I32);
+    let is_zero = b.icmp(IntPredicate::Eq, x, zero);
+    b.cond_br(is_zero, found, body);
+    b.switch_to(body);
+    let pb = b.gep(out, i, 4, 0);
+    let sq = b.binary(BinOp::Mul, x, x);
+    b.store(pb, sq);
+    let i2 = b.binary(BinOp::Add, i, one);
+    b.br(header);
+    b.add_phi_incoming(i, b.entry_block(), zero);
+    b.add_phi_incoming(i, body, i2);
+    b.switch_to(found);
+    b.ret(Some(one));
+    b.switch_to(done);
+    b.ret(Some(zero));
+    b.finish().unwrap()
+}
+
+#[test]
+fn a_second_exit_target_is_reported_as_such() {
+    let mut mm = MemoryModel::new();
+    let ra = mm.add_region("a", 4, true, false);
+    let rb = mm.add_region("b", 4, false, true);
+    mm.bind_param(0, ra);
+    mm.bind_param(1, rb);
+    let err =
+        CgpaCompiler::new(CgpaConfig::default()).compile(&early_return_loop(), &mm).unwrap_err();
+    assert!(
+        matches!(err, CompileError::Transform(TransformError::MultipleExitTargets(2))),
+        "{err:?}"
+    );
+    assert_eq!(err.to_string(), "transform: target loop needs a unique exit target, found 2");
 }
 
 #[test]

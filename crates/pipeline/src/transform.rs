@@ -141,6 +141,8 @@ pub enum TransformError {
     BadWorkerCount(u32),
     /// The loop header has more than one predecessor outside the loop.
     MultiplePreheaders,
+    /// The loop leaves to this many blocks outside it, not exactly one.
+    MultipleExitTargets(usize),
     /// A liveout is produced by the parallel stage (no single owner).
     ParallelLiveout(String),
     /// Internal: a value needed by a task could not be resolved.
@@ -158,6 +160,9 @@ impl fmt::Display for TransformError {
             }
             TransformError::MultiplePreheaders => {
                 f.write_str("target loop needs a unique preheader")
+            }
+            TransformError::MultipleExitTargets(n) => {
+                write!(f, "target loop needs a unique exit target, found {n}")
             }
             TransformError::ParallelLiveout(v) => {
                 write!(f, "liveout {v} is defined in the parallel stage")
@@ -1036,7 +1041,7 @@ fn rewrite_parent(
         }
     }
     if exit_targets.len() != 1 {
-        return Err(TransformError::MultiplePreheaders);
+        return Err(TransformError::MultipleExitTargets(exit_targets.len()));
     }
     let exit_target = exit_targets[0];
 
