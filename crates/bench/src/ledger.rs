@@ -10,7 +10,9 @@
 
 use crate::suite::{bench_kernels, has_p2, par_map, report_for, KernelSet};
 use cgpa::compiler::{CgpaCompiler, CgpaConfig};
-use cgpa::dse::{CompileCache, DseLattice, DseReport, DEFAULT_AREA_BUDGET_ALUT};
+use cgpa::dse::{
+    fnv1a64, schedule_hash, CompileCache, DseLattice, DseReport, DEFAULT_AREA_BUDGET_ALUT,
+};
 use cgpa::flows::{
     run, run_cgpa_dse, run_cgpa_tuned_auto, Design, FlowError, HwTuning, RunResult, RunSpec,
     TuneOutcome,
@@ -39,7 +41,8 @@ pub const HIMEM_CACHE_LINES: u32 = 2;
 pub struct LedgerEntry {
     /// MIPS, LegUp, CGPA P1 and, where the paper reports it, P2.
     pub report: BenchmarkReport,
-    /// FNV-1a 64 of the P1 FSMs' debug rendering.
+    /// [`schedule_hash`] of the P1 FSMs (FNV-1a 64 of their debug
+    /// rendering).
     pub p1_fsm_digest: u64,
     /// FNV-1a 64 of the P1 Verilog.
     pub p1_verilog_digest: u64,
@@ -70,10 +73,7 @@ fn entry(k: &BuiltKernel) -> Result<LedgerEntry, FlowError> {
     let digests = |config: CgpaConfig| -> Result<(u64, u64), FlowError> {
         let compiler = CgpaCompiler::new(config);
         let c = compiler.compile(&k.func, &k.model)?;
-        Ok((
-            fnv1a64(format!("{:?}", c.fsms).as_bytes()),
-            fnv1a64(compiler.emit_verilog(&c).as_bytes()),
-        ))
+        Ok((schedule_hash(&c), fnv1a64(compiler.emit_verilog(&c).as_bytes())))
     };
     let (p1_fsm_digest, p1_verilog_digest) = digests(config)?;
     let p2 = CgpaConfig { placement: ReplicablePlacement::Replicated, ..config };
@@ -99,14 +99,6 @@ fn entry(k: &BuiltKernel) -> Result<LedgerEntry, FlowError> {
             &CompileCache::new(),
         )?,
     })
-}
-
-/// FNV-1a, 64-bit. Spelled out because `DefaultHasher`'s algorithm may
-/// change between Rust releases, and these digests are committed.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
 }
 
 /// The ledger as `BENCH_*.json` text.

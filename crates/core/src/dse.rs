@@ -325,14 +325,23 @@ impl CompileCache {
     }
 }
 
-/// A stable hash of a compiled design's FSM schedules, used to check that a
-/// memoized compile is bit-identical to a fresh one (together with the
-/// emitted Verilog text).
+/// A stable hash of a compiled design's FSM schedules: [`fnv1a64`] of
+/// their `{:?}` rendering. It checks that a memoized compile is
+/// bit-identical to a fresh one (together with the emitted Verilog text),
+/// and the committed ledger digests it.
 #[must_use]
 pub fn schedule_hash(compiled: &Compiled) -> u64 {
-    let mut h = DefaultHasher::new();
-    format!("{:?}", compiled.fsms).hash(&mut h);
-    h.finish()
+    fnv1a64(format!("{:?}", compiled.fsms).as_bytes())
+}
+
+/// FNV-1a, 64-bit. Spelled out because `DefaultHasher`'s algorithm may
+/// change between Rust releases, and digests built on this one are
+/// committed.
+#[must_use]
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
 }
 
 /// One kernel's exploration result.
