@@ -440,8 +440,8 @@ fn hw_config(tuning: HwTuning, workers: u32) -> HwConfig {
     }
 }
 
-/// Arm `sys` with `spec`'s fault plan and (when tracing) trace process
-/// `pid`, then run it.
+/// Arm `sys` with `spec`'s fault plan (and, with a recorder, a trace), run
+/// it, and export the trace into `recorder` as trace process `pid`.
 fn simulate(
     sys: &mut HwSystem,
     mem: &mut SimMemory,
@@ -449,13 +449,17 @@ fn simulate(
     recorder: Option<&Recorder>,
     pid: u32,
 ) -> Result<SystemStats, HwError> {
-    if let Some(rec) = recorder {
-        sys.attach_obs(rec, pid);
+    if recorder.is_some() {
+        sys.enable_trace();
     }
     if let Some(plan) = &spec.faults {
         sys.inject_faults(plan.clone());
     }
-    sys.run(mem)
+    let stats = sys.run(mem)?;
+    if let (Some(rec), Some(trace)) = (recorder, sys.take_trace()) {
+        trace.record_into(rec, pid);
+    }
+    Ok(stats)
 }
 
 /// Area → activity → power → [`RunResult`], from one area report per

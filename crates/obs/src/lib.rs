@@ -8,9 +8,10 @@
 //!   Verilog emission) on a wall-clock timeline, each annotated with
 //!   artifact-size counters (PDG nodes/edges, SCC counts by class, stage
 //!   and worker counts, FSM states);
-//! - the **simulator** emits per-iteration pipeline spans (iteration *N*
-//!   enters/retires on worker *W*) and asynchronous FIFO-occupancy counter
-//!   tracks on a cycle timeline, identically under both engines.
+//! - the **simulator**'s recorded event stream is replayed into it
+//!   (`cgpa_sim::Trace::record_into`) as per-iteration pipeline spans
+//!   (iteration *N* enters/retires on worker *W*) and FIFO-occupancy
+//!   counter tracks on a cycle timeline, identically under both engines.
 //!
 //! The two timelines live in different trace *processes* (`pid`s), so a
 //! single exported file shows compile-time and simulated-time side by side

@@ -22,7 +22,6 @@ use crate::stats::{SystemStats, WorkerStats};
 use crate::trace::{StallCause, Trace, TraceEvent};
 use crate::value::Value;
 use cgpa_ir::{Function, InstId, Module, Op, ValueId};
-use cgpa_obs::Recorder;
 use cgpa_pipeline::{PipelineModule, StageKind};
 use cgpa_rtl::schedule::schedule_function;
 use cgpa_rtl::Fsm;
@@ -183,17 +182,6 @@ impl Worker {
     }
 }
 
-/// Structured-trace sink (see `cgpa-obs`): the shared recorder plus the
-/// trace process this system's events land in. Like the VCD [`Trace`], it
-/// runs on either engine: every event it emits (iteration back edges, FIFO
-/// occupancy changes, finishes) can only occur on a cycle the event-driven
-/// engine evaluates anyway, so both engines produce bit-identical event
-/// streams.
-struct ObsSink {
-    rec: Recorder,
-    pid: u32,
-}
-
 /// The accelerator system: workers + FIFOs + shared cache.
 pub struct HwSystem<'m> {
     funcs: Vec<&'m Function>,
@@ -208,8 +196,7 @@ pub struct HwSystem<'m> {
     fifo_total_channels: u32,
     trace: Option<Trace>,
     fault: Option<FaultPlan>,
-    obs: Option<ObsSink>,
-    /// Design name for the obs process label.
+    /// Design name, for the trace labels.
     design: String,
     /// Per-worker display label (task name, plus the worker index for
     /// parallel-stage instances).
@@ -302,43 +289,26 @@ impl<'m> HwSystem<'m> {
             fifo_total_channels,
             trace: None,
             fault: None,
-            obs: None,
             design: design.to_string(),
             worker_labels,
         }
     }
 
-    /// Record a waveform of this run (worker FSM states, stall causes,
-    /// finish flags, FIFO occupancies). Retrieve it with
-    /// [`HwSystem::take_trace`] after [`HwSystem::run`]. Every change lands
-    /// on a cycle the event-driven engine evaluates, so both engines record
-    /// the same waveform.
+    /// Record the next [`HwSystem::run`]'s event stream (worker FSM states,
+    /// stall causes, iteration back edges, finishes, FIFO occupancies),
+    /// labelled with the design, worker and queue names. Retrieve it with
+    /// [`HwSystem::take_trace`] and export it with [`Trace::to_vcd`] or
+    /// [`Trace::record_into`]. Every change lands on a cycle the
+    /// event-driven engine evaluates, so both engines record the same
+    /// stream.
     pub fn enable_trace(&mut self) {
-        self.trace = Some(Trace::new(self.workers.len() as u32, self.queues.len() as u32));
+        let queues = self.queues.iter().map(|q| q.name.clone()).collect();
+        self.trace = Some(Trace::new(self.design.clone(), self.worker_labels.clone(), queues));
     }
 
     /// The recorded trace, if tracing was enabled.
     pub fn take_trace(&mut self) -> Option<Trace> {
         self.trace.take()
-    }
-
-    /// Attach a structured-trace recorder (see `cgpa-obs`): the next
-    /// [`HwSystem::run`] emits, into trace process `pid`, a `run` span on
-    /// track 0, one per-iteration span per worker on track `w + 1`
-    /// (iteration *N* begins at the cycle after its back edge and ends at
-    /// its own), and one FIFO-occupancy counter track per queue set.
-    ///
-    /// Either engine may run it: every emitted event falls on a cycle the
-    /// event-driven engine evaluates anyway (back edges and occupancy
-    /// changes require a non-blocked worker), so both engines record
-    /// bit-identical streams.
-    pub fn attach_obs(&mut self, rec: &Recorder, pid: u32) {
-        rec.name_process(pid, format!("sim {}", self.design));
-        rec.name_thread(pid, 0, "pipeline");
-        for (wi, label) in self.worker_labels.iter().enumerate() {
-            rec.name_thread(pid, wi as u32 + 1, label.clone());
-        }
-        self.obs = Some(ObsSink { rec: rec.clone(), pid });
     }
 
     /// Arm a fault-injection plan for the next [`HwSystem::run`]. Timing
@@ -369,20 +339,14 @@ impl<'m> HwSystem<'m> {
                 format!("awaiting memory until cycle {done}")
             } else if w.entered && w.cursor < ops.len() {
                 match &self.funcs[w.func].inst(ops[w.cursor]).op {
-                    Op::Produce { queue, .. } | Op::ProduceBroadcast { queue, .. } => {
+                    op @ (Op::Produce { queue, .. }
+                    | Op::ProduceBroadcast { queue, .. }
+                    | Op::Consume { queue, .. }) => {
+                        let dir =
+                            if matches!(op, Op::Consume { .. }) { "popping" } else { "pushing" };
                         let q = &self.queues[queue.index()];
                         format!(
-                            "blocked pushing queue '{}' (q{}, {} of {} beats occupied)",
-                            q.name,
-                            queue.index(),
-                            q.total_occupancy(),
-                            q.depth_beats * q.channels()
-                        )
-                    }
-                    Op::Consume { queue, .. } => {
-                        let q = &self.queues[queue.index()];
-                        format!(
-                            "blocked popping queue '{}' (q{}, {} of {} beats occupied)",
+                            "blocked {dir} queue '{}' (q{}, {} of {} beats occupied)",
                             q.name,
                             queue.index(),
                             q.total_occupancy(),
@@ -439,8 +403,8 @@ impl<'m> HwSystem<'m> {
         self.workers[0].ret
     }
 
-    /// Run to completion with the configured engine. Both engines record
-    /// the same VCD trace and structured-trace events.
+    /// Run to completion with the configured engine. With a trace enabled,
+    /// both engines record the same event stream.
     ///
     /// # Errors
     /// [`HwError::Timeout`] when fuel runs out, [`HwError::Deadlock`] when
@@ -496,37 +460,15 @@ impl<'m> HwSystem<'m> {
         // A burning worker is busy, i.e. progressing, on every cycle it
         // sleeps through, so any cycle before this one counts as progress.
         let mut burning_until: u64 = 0;
-        // Tracing scratch, allocated once and reused every traced cycle.
-        let mut queue_occ_before: Vec<u32> = vec![0; self.queues.len()];
+        // Tracing state: the last recorded stall cause per worker and the
+        // last recorded occupancy per queue.
         let mut last_cause: Vec<Option<StallCause>> = vec![None; n_workers];
-
-        if let Some(obs) = &self.obs {
-            // The run span and every worker's first iteration open at cycle
-            // 0; counter tracks get an initial sample so Perfetto draws
-            // them from the origin.
-            obs.rec.begin_at(obs.pid, 0, 0, format!("run {}", self.design), "sim");
-            for wi in 0..n_workers {
-                obs.rec.begin_at(obs.pid, wi as u32 + 1, 0, "iter 0", "iteration");
-            }
-            for (qi, q) in self.queues.iter().enumerate() {
-                obs.rec.counter_at(
-                    obs.pid,
-                    0,
-                    0,
-                    format!("q{qi} {} beats", q.name),
-                    f64::from(total_occupancy(q)),
-                );
-            }
-        }
+        let mut last_beats: Vec<usize> =
+            self.queues.iter().map(QueueState::total_occupancy).collect();
 
         while cycle < fuel {
             if live.is_empty() {
                 break;
-            }
-            if self.trace.is_some() || self.obs.is_some() {
-                for (qi, occ) in queue_occ_before.iter_mut().enumerate() {
-                    *occ = total_occupancy(&self.queues[qi]);
-                }
             }
             let mut progressed = cycle < burning_until;
             // Earliest cycle any live worker is due again.
@@ -614,31 +556,13 @@ impl<'m> HwSystem<'m> {
                             trace.record(TraceEvent::Stall { cycle, worker: wi as u32, cause });
                             last_cause[wi] = Some(cause);
                         }
+                        // A step takes at most one FSM exit, so a back edge
+                        // and a finish never share an evaluated cycle.
+                        if w.stats.iterations != before_iters {
+                            trace.record(TraceEvent::Iteration { cycle, worker: wi as u32 });
+                        }
                         if w.finished {
                             trace.record(TraceEvent::Finish { cycle, worker: wi as u32 });
-                        }
-                    }
-                    if let Some(obs) = &self.obs {
-                        // A back edge retires the worker's current iteration:
-                        // its span covers every cycle up to and including this
-                        // one, and the next iteration opens at the boundary.
-                        // `Ret` ends the final iteration without a successor.
-                        // At most one of these fires per evaluated cycle, and
-                        // neither can occur while the worker sleeps, so the
-                        // stream is engine-independent.
-                        if w.stats.iterations != before_iters {
-                            obs.rec.end_at(obs.pid, wi as u32 + 1, cycle + 1);
-                            if !w.finished {
-                                obs.rec.begin_at(
-                                    obs.pid,
-                                    wi as u32 + 1,
-                                    cycle + 1,
-                                    format!("iter {}", w.stats.iterations),
-                                    "iteration",
-                                );
-                            }
-                        } else if w.finished {
-                            obs.rec.end_at(obs.pid, wi as u32 + 1, cycle + 1);
                         }
                     }
                     outcome
@@ -666,30 +590,16 @@ impl<'m> HwSystem<'m> {
                 next = next.min(nap.wake);
                 li += 1;
             }
-            if self.trace.is_some() || self.obs.is_some() {
-                for (qi, &before) in queue_occ_before.iter().enumerate() {
-                    let now = total_occupancy(&self.queues[qi]);
-                    if now == before {
-                        continue;
-                    }
-                    if let Some(trace) = &mut self.trace {
-                        trace.record(TraceEvent::QueueOccupancy {
-                            cycle,
-                            queue: qi as u32,
-                            beats: now,
-                        });
-                    }
-                    if let Some(obs) = &self.obs {
-                        // Occupancy can only move on an evaluated cycle
-                        // (pushes/pops need an evaluated worker), so both
-                        // engines sample at identical cycles.
-                        obs.rec.counter_at(
-                            obs.pid,
-                            0,
-                            cycle,
-                            format!("q{qi} {} beats", self.queues[qi].name),
-                            f64::from(now),
-                        );
+            if let Some(trace) = &mut self.trace {
+                // Occupancy moves only when a worker is evaluated, so one
+                // comparison per pass of this loop sees every change, on the
+                // same cycle under both engines.
+                for (qi, last) in last_beats.iter_mut().enumerate() {
+                    let now = self.queues[qi].total_occupancy();
+                    if now != *last {
+                        let (queue, beats) = (qi as u32, now as u32);
+                        trace.record(TraceEvent::QueueOccupancy { cycle, queue, beats });
+                        *last = now;
                     }
                 }
             }
@@ -751,10 +661,6 @@ impl<'m> HwSystem<'m> {
         for (wi, w) in self.workers.iter_mut().enumerate() {
             w.stats.idle += last - finish_cycle[wi];
         }
-        if let Some(obs) = &self.obs {
-            // Close the run span at the join (total cycle count).
-            obs.rec.end_at(obs.pid, 0, cycle);
-        }
         // A duplicated beat that nobody pops survives to the join; flag it
         // instead of reporting a clean run.
         if self.fault.as_ref().is_some_and(FaultPlan::corruption_fired) {
@@ -798,12 +704,6 @@ impl<'m> HwSystem<'m> {
     pub fn fifo_channels(&self) -> u32 {
         self.fifo_total_channels
     }
-}
-
-/// Total beat occupancy of a queue set across channels.
-#[inline]
-fn total_occupancy(q: &QueueState) -> u32 {
-    (0..q.channels()).map(|c| q.occupancy(c) as u32).sum()
 }
 
 /// Waveform stall classification for a step outcome.

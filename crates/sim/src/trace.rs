@@ -1,17 +1,24 @@
-//! Execution tracing and VCD waveform export.
+//! The simulator's event stream and its two exporters.
 //!
-//! A [`Trace`] records per-cycle observable state of a hardware run —
-//! each worker's FSM state and finish flag, plus aggregate FIFO occupancy
-//! per queue — and renders it as a Value Change Dump, viewable in GTKWave
-//! or any waveform viewer. The pipeline fill/drain behaviour the paper
-//! describes in §2.2 (the sequential stage running ahead, workers stalling
-//! on empty FIFOs) is directly visible.
+//! A [`Trace`] is the one record of what a hardware run did: each worker's
+//! FSM state, stall cause, iteration back edges and finish, plus aggregate
+//! FIFO occupancy per queue, as typed changes in cycle order. The pipeline
+//! fill/drain behaviour the paper describes in §2.2 (the sequential stage
+//! running ahead, workers stalling on empty FIFOs) is directly visible in
+//! either export:
 //!
-//! Either engine of [`HwSystem::run`](crate::hw::HwSystem::run) records
-//! it. The event-driven engine does not evaluate sleeping workers, but
-//! every recorded change lands on a cycle it evaluates, so both engines
-//! render the same VCD text.
+//! - [`Trace::to_vcd`] renders a Value Change Dump, viewable in GTKWave or
+//!   any waveform viewer;
+//! - [`Trace::record_into`] replays the stream into a `cgpa-obs`
+//!   [`Recorder`] as Chrome-trace spans and counters (Perfetto).
+//!
+//! Both read the same events, so the waveform and the Chrome trace cannot
+//! disagree. Either engine of [`HwSystem::run`](crate::hw::HwSystem::run)
+//! records the stream. The event-driven engine does not evaluate sleeping
+//! workers, but every recorded change lands on a cycle it evaluates, so
+//! both engines record the same events.
 
+use cgpa_obs::Recorder;
 use std::fmt::Write as _;
 
 /// Why a worker is not retiring work this cycle, as shown in the
@@ -82,6 +89,14 @@ pub enum TraceEvent {
         /// New classification.
         cause: StallCause,
     },
+    /// A worker that has not finished took an iteration back edge. Not part
+    /// of the waveform; it splits the Chrome export's `iter` spans.
+    Iteration {
+        /// Cycle of the back edge.
+        cycle: u64,
+        /// Worker index.
+        worker: u32,
+    },
 }
 
 /// A recorded run.
@@ -89,7 +104,7 @@ pub enum TraceEvent {
 /// ```
 /// use cgpa_sim::trace::{Trace, TraceEvent};
 ///
-/// let mut t = Trace::new(1, 0);
+/// let mut t = Trace::new("acc", vec!["acc".into()], Vec::new());
 /// t.record(TraceEvent::State { cycle: 0, worker: 0, state: 0 });
 /// t.record(TraceEvent::Finish { cycle: 8, worker: 0 });
 /// let vcd = t.to_vcd("acc");
@@ -100,17 +115,24 @@ pub enum TraceEvent {
 pub struct Trace {
     /// Events in nondecreasing cycle order.
     pub events: Vec<TraceEvent>,
-    /// Number of workers traced.
-    pub workers: u32,
-    /// Number of queues traced.
-    pub queues: u32,
+    /// Design name, for the Chrome export's process and run-span labels.
+    pub design: String,
+    /// Display label per traced worker (task name, plus the worker index
+    /// for parallel-stage instances).
+    pub worker_labels: Vec<String>,
+    /// Name per traced queue.
+    pub queue_names: Vec<String>,
 }
 
 impl Trace {
     /// Create an empty trace for the given topology.
     #[must_use]
-    pub fn new(workers: u32, queues: u32) -> Self {
-        Trace { events: Vec::new(), workers, queues }
+    pub fn new(
+        design: impl Into<String>,
+        worker_labels: Vec<String>,
+        queue_names: Vec<String>,
+    ) -> Self {
+        Trace { events: Vec::new(), design: design.into(), worker_labels, queue_names }
     }
 
     /// Record an event (cycles must be nondecreasing).
@@ -169,7 +191,7 @@ impl Trace {
         let mut fin_ids = Vec::new();
         let mut cause_ids = Vec::new();
         let mut queue_ids = Vec::new();
-        for w in 0..self.workers {
+        for w in 0..self.worker_labels.len() {
             let c = code();
             let _ = writeln!(out, "$var integer 16 {c} w{w}_state $end");
             state_ids.push(c);
@@ -180,7 +202,7 @@ impl Trace {
             let _ = writeln!(out, "$var integer 8 {s} w{w}_cause $end");
             cause_ids.push(s);
         }
-        for q in 0..self.queues {
+        for q in 0..self.queue_names.len() {
             let c = code();
             let _ = writeln!(out, "$var integer 16 {c} q{q}_beats $end");
             queue_ids.push(c);
@@ -188,17 +210,20 @@ impl Trace {
         let _ = writeln!(out, "$upscope $end");
         let _ = writeln!(out, "$enddefinitions $end");
         let _ = writeln!(out, "$dumpvars");
-        for w in 0..self.workers as usize {
-            let _ = writeln!(out, "b0 {}", state_ids[w]);
-            let _ = writeln!(out, "0{}", fin_ids[w]);
-            let _ = writeln!(out, "b0 {}", cause_ids[w]);
+        for ((s, f), c) in state_ids.iter().zip(&fin_ids).zip(&cause_ids) {
+            let _ = writeln!(out, "b0 {s}");
+            let _ = writeln!(out, "0{f}");
+            let _ = writeln!(out, "b0 {c}");
         }
-        for qid in queue_ids.iter().take(self.queues as usize) {
+        for qid in &queue_ids {
             let _ = writeln!(out, "b0 {qid}");
         }
         let _ = writeln!(out, "$end");
         let mut last_cycle = u64::MAX;
         for e in &self.events {
+            if let TraceEvent::Iteration { .. } = e {
+                continue;
+            }
             let cycle = cycle_of(*e);
             if cycle != last_cycle {
                 let _ = writeln!(out, "#{cycle}");
@@ -217,9 +242,67 @@ impl Trace {
                 TraceEvent::Stall { worker, cause, .. } => {
                     let _ = writeln!(out, "b{:b} {}", cause.code(), cause_ids[worker as usize]);
                 }
+                TraceEvent::Iteration { .. } => {}
             }
         }
         out
+    }
+
+    /// Replay the stream into `rec` as Chrome-trace events of process
+    /// `pid`, one trace microsecond per cycle:
+    ///
+    /// - process and thread names (track 0 is the pipeline, track `w + 1`
+    ///   worker `w`);
+    /// - a `run <design>` span on track 0 from cycle 0 to the join, the
+    ///   cycle after the last finish (left open when a worker never
+    ///   finished);
+    /// - per worker, `iter 0` from cycle 0; a back edge in cycle `C` closes
+    ///   the current `iter N` at `C + 1` and opens `iter N+1` there, and a
+    ///   finish in cycle `C` closes it for good at `C + 1`;
+    /// - a `q<i> <name> beats` counter on track 0 per queue, sampled at
+    ///   cycle 0 (queues start empty) and at every occupancy change.
+    pub fn record_into(&self, rec: &Recorder, pid: u32) {
+        let workers = self.worker_labels.len();
+        rec.name_process(pid, format!("sim {}", self.design));
+        rec.name_thread(pid, 0, "pipeline");
+        for (w, label) in self.worker_labels.iter().enumerate() {
+            rec.name_thread(pid, w as u32 + 1, label.clone());
+        }
+        rec.begin_at(pid, 0, 0, format!("run {}", self.design), "sim");
+        for w in 0..workers {
+            rec.begin_at(pid, w as u32 + 1, 0, "iter 0", "iteration");
+        }
+        let counters: Vec<String> =
+            self.queue_names.iter().enumerate().map(|(q, n)| format!("q{q} {n} beats")).collect();
+        for name in &counters {
+            rec.counter_at(pid, 0, 0, name.clone(), 0.0);
+        }
+        let mut iterations = vec![0u64; workers];
+        let mut finished = 0;
+        let mut join = 0;
+        for e in &self.events {
+            match *e {
+                TraceEvent::Iteration { cycle, worker } => {
+                    let n = &mut iterations[worker as usize];
+                    *n += 1;
+                    rec.end_at(pid, worker + 1, cycle + 1);
+                    rec.begin_at(pid, worker + 1, cycle + 1, format!("iter {n}"), "iteration");
+                }
+                TraceEvent::Finish { cycle, worker } => {
+                    rec.end_at(pid, worker + 1, cycle + 1);
+                    finished += 1;
+                    join = cycle + 1;
+                }
+                TraceEvent::QueueOccupancy { cycle, queue, beats } => {
+                    let name = counters[queue as usize].clone();
+                    rec.counter_at(pid, 0, cycle, name, f64::from(beats));
+                }
+                TraceEvent::State { .. } | TraceEvent::Stall { .. } => {}
+            }
+        }
+        if finished == workers {
+            rec.end_at(pid, 0, join);
+        }
     }
 }
 
@@ -243,7 +326,8 @@ fn cycle_of(e: TraceEvent) -> u64 {
         TraceEvent::State { cycle, .. }
         | TraceEvent::Finish { cycle, .. }
         | TraceEvent::QueueOccupancy { cycle, .. }
-        | TraceEvent::Stall { cycle, .. } => cycle,
+        | TraceEvent::Stall { cycle, .. }
+        | TraceEvent::Iteration { cycle, .. } => cycle,
     }
 }
 
@@ -252,7 +336,7 @@ mod tests {
     use super::*;
 
     fn sample() -> Trace {
-        let mut t = Trace::new(2, 1);
+        let mut t = Trace::new("toy", vec!["a".into(), "b w0".into()], vec!["x".into()]);
         t.record(TraceEvent::State { cycle: 0, worker: 0, state: 0 });
         t.record(TraceEvent::State { cycle: 0, worker: 1, state: 0 });
         t.record(TraceEvent::QueueOccupancy { cycle: 3, queue: 0, beats: 1 });
@@ -300,7 +384,7 @@ mod tests {
     fn identifier_codes_are_unique() {
         // 80 workers and 8 queues: 248 variables, past the 94 one-character
         // codes.
-        let t = Trace::new(80, 8);
+        let t = Trace::new("wide", vec![String::new(); 80], vec![String::new(); 8]);
         let vcd = t.to_vcd("wide");
         let ids: Vec<&str> = vcd
             .lines()
