@@ -27,7 +27,7 @@ impl fmt::Display for RegionId {
 
 /// A declared memory region: a pool of equally-sized elements (an array, or
 /// all nodes of one linked list).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RegionInfo {
     /// Debug name ("nodes", "coeffs", …).
     pub name: String,
@@ -179,7 +179,7 @@ pub enum AliasResult {
 /// mm.array_pointee(from_ptrs, h_nodes);
 /// assert_eq!(mm.regions().len(), 3);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, Hash)]
 pub struct MemoryModel {
     regions: Vec<RegionInfo>,
     /// Pointer parameters → region they point into (offset 0).

@@ -19,11 +19,12 @@
 //! `bench` builds the ledger of modelled results over the quick set
 //! (`cgpa_bench::ledger`): MIPS, LegUp and CGPA cycles, area, power and
 //! energy bit patterns, digests of the simulator statistics, FSMs and
-//! Verilog, LegUp and the profile-guided tuner at 400-cycle misses, and the
-//! quick DSE's recommendation and frontier. It prints the cycles and, with
-//! `--json`, writes the whole ledger to `BENCH_<label>.json`. It measures
-//! no wall-clock; perfbench does. Regenerate the committed baseline with
-//! `experiments bench --json --label baseline`.
+//! Verilog, LegUp and the bottleneck walk (`cgpa::dse::climb`) at
+//! 400-cycle misses, and the quick DSE's recommendation and frontier. It
+//! prints the cycles and, with `--json`, writes the whole ledger to
+//! `BENCH_<label>.json`. It measures no wall-clock; perfbench does.
+//! Regenerate the committed baseline with `experiments bench --json
+//! --label baseline`.
 //!
 //! `dse` explores the configuration lattice per kernel (workers × FIFO
 //! depth × cache geometry × P1/P2 placement) with compiles memoized behind
@@ -40,6 +41,9 @@
 //! committed `BENCH_baseline.json`). It prints every differing JSON path
 //! with both values and exits 1 on any difference, 2 on a usage, read or
 //! parse error.
+//!
+//! Every command exits 2 with `cannot write <path>: <error>` when it cannot
+//! write an output file or create the `--csv` directory.
 
 use cgpa::compiler::{CgpaCompiler, CgpaConfig};
 use cgpa::report::{geomean, BenchmarkReport};
@@ -47,6 +51,7 @@ use cgpa_bench::{bench_kernels, full_report, ledger, scalability_sweep, KernelSe
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::fmt::Write as _;
+use std::path::Path;
 
 thread_local! {
     static CSV_DIR: RefCell<Option<std::path::PathBuf>> = const { RefCell::new(None) };
@@ -61,6 +66,15 @@ fn gm(values: &[f64]) -> Cow<'static, str> {
     }
 }
 
+/// Exit 2 with `cannot write <path>: <error>` when writing `path` failed,
+/// as `compare` does for input it cannot read.
+fn written(path: &Path, result: std::io::Result<()>) {
+    if let Err(e) = result {
+        eprintln!("cannot write {}: {e}", path.display());
+        std::process::exit(2);
+    }
+}
+
 /// Write a CSV file into the `--csv` directory, if one was given.
 fn write_csv(name: &str, header: &str, rows: &[String]) {
     CSV_DIR.with(|c| {
@@ -72,7 +86,7 @@ fn write_csv(name: &str, header: &str, rows: &[String]) {
                 text.push('\n');
             }
             let path = dir.join(format!("{name}.csv"));
-            std::fs::write(&path, text).expect("write csv");
+            written(&path, std::fs::write(&path, text));
             eprintln!("wrote {}", path.display());
         }
     });
@@ -87,7 +101,7 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .map(std::path::PathBuf::from);
     if let Some(d) = &csv_dir {
-        std::fs::create_dir_all(d).expect("create csv dir");
+        written(d, std::fs::create_dir_all(d));
     }
     CSV_DIR.with(|c| *c.borrow_mut() = csv_dir);
     let set = if quick { KernelSet::Quick } else { KernelSet::Full };
@@ -211,14 +225,14 @@ fn bench(json: bool, label: &str) {
         "benchmark", "LegUp", "default", "tuned", "speedup", "workers", "fifo"
     );
     for e in &entries {
-        let t = &e.tuned;
+        let t = &e.climb;
         println!(
             "{:<14} {:>10} {:>12} {:>10} {:>7.2}x {:>8} {:>5}  {}",
             e.report.name,
             e.himem_legup.cycles,
-            t.baseline_cycles,
+            t.baseline_cycles(),
             t.best.cycles,
-            t.speedup(),
+            t.baseline_cycles() as f64 / t.best.cycles as f64,
             t.profile.workers,
             t.profile.fifo_depth_beats,
             t.profile.bottleneck_summary()
@@ -242,7 +256,7 @@ fn bench(json: bool, label: &str) {
     println!();
     if json {
         let path = format!("BENCH_{label}.json");
-        std::fs::write(&path, ledger::to_json(&entries)).expect("write bench json");
+        written(Path::new(&path), std::fs::write(&path, ledger::to_json(&entries)));
         eprintln!("wrote {path}");
     }
 }
@@ -296,7 +310,7 @@ fn profile_cmd(set: KernelSet, json: bool, label: &str) {
         let _ = writeln!(out, "  ]");
         let _ = writeln!(out, "}}");
         let path = format!("PROFILE_{label}.json");
-        std::fs::write(&path, out).expect("write profile json");
+        written(Path::new(&path), std::fs::write(&path, out));
         eprintln!("wrote {path}");
     }
 }
@@ -473,7 +487,7 @@ fn dse_cmd(set: KernelSet, json: bool, label: &str) {
     );
     if json {
         let path = format!("DSE_{label}.json");
-        std::fs::write(&path, out).expect("write dse json");
+        written(Path::new(&path), std::fs::write(&path, out));
         eprintln!("wrote {path}");
     }
 }
@@ -493,7 +507,7 @@ fn trace_cmd(set: KernelSet, kernel: &str, out: &str) {
         Ok(traced) => {
             let recorder = traced.recorder.expect("traced runs carry a recorder");
             let events = recorder.events().len();
-            std::fs::write(out, recorder.to_chrome_json()).expect("write trace json");
+            written(Path::new(out), std::fs::write(out, recorder.to_chrome_json()));
             println!(
                 "{}: {} in {} cycles (shape {})",
                 k.name,

@@ -11,12 +11,10 @@
 use crate::suite::{bench_kernels, has_p2, par_map, report_for, KernelSet};
 use cgpa::compiler::{CgpaCompiler, CgpaConfig};
 use cgpa::dse::{
-    fnv1a64, schedule_hash, CompileCache, DseLattice, DseReport, DEFAULT_AREA_BUDGET_ALUT,
+    climb, fnv1a64, schedule_hash, Climb, CompileCache, DseLattice, DsePoint, DseReport,
+    DEFAULT_AREA_BUDGET_ALUT,
 };
-use cgpa::flows::{
-    run, run_cgpa_dse, run_cgpa_tuned_auto, Design, FlowError, HwTuning, RunResult, RunSpec,
-    TuneOutcome,
-};
+use cgpa::flows::{run, run_cgpa_dse, Design, FlowError, HwTuning, RunResult, RunSpec};
 use cgpa::report::BenchmarkReport;
 use cgpa_kernels::BuiltKernel;
 use cgpa_obs::json::{escape, Json};
@@ -51,9 +49,9 @@ pub struct LedgerEntry {
     pub p2_digests: Option<(u64, u64)>,
     /// LegUp in the himem regime.
     pub himem_legup: RunResult,
-    /// The profile-guided tuner in the himem regime, starting from the
-    /// default CGPA P1 configuration.
-    pub tuned: TuneOutcome,
+    /// The bottleneck walk ([`climb`]) in the himem regime, starting from
+    /// the default CGPA P1 configuration.
+    pub climb: Climb,
     /// The quick design-space exploration under the default tuning.
     pub dse: DseReport,
 }
@@ -83,21 +81,24 @@ fn entry(k: &BuiltKernel) -> Result<LedgerEntry, FlowError> {
         ..HwTuning::default()
     };
     let legup = RunSpec { tuning: himem, design: Design::Sequential, ..RunSpec::default() };
-    let lattice = DseLattice::quick();
+    // The walk reuses the quick DSE's compiles: both search one cache.
+    let cache = CompileCache::new();
+    let dse = run_cgpa_dse(
+        k,
+        &DseLattice::quick(),
+        HwTuning::default(),
+        DEFAULT_AREA_BUDGET_ALUT,
+        &cache,
+    )?;
+    let start = DsePoint { cache_lines: HIMEM_CACHE_LINES, ..DsePoint::default() };
     Ok(LedgerEntry {
         p1_fsm_digest,
         p1_verilog_digest,
         p2_digests: if has_p2(&k.name) { Some(digests(p2)?) } else { None },
         report,
         himem_legup: run(k, &legup)?.result,
-        tuned: run_cgpa_tuned_auto(k, config, himem)?,
-        dse: run_cgpa_dse(
-            k,
-            &lattice,
-            HwTuning::default(),
-            DEFAULT_AREA_BUDGET_ALUT,
-            &CompileCache::new(),
-        )?,
+        climb: climb(k, start, himem, &cache)?,
+        dse,
     })
 }
 
@@ -138,10 +139,10 @@ impl LedgerEntry {
         }
         m.push(("skipped_cycles".into(), num(skipped(&r.legup) + skipped(&r.cgpa_p1))));
         run_fields(&mut m, "himem", &self.himem_legup);
-        m.push(("himem_cgpa_cycles".into(), num(self.tuned.baseline_cycles)));
-        run_fields(&mut m, "himem_tuned", &self.tuned.best);
-        m.push(("tuned_workers".into(), num(self.tuned.profile.workers.into())));
-        m.push(("tuned_fifo_depth_beats".into(), num(self.tuned.profile.fifo_depth_beats as u64)));
+        m.push(("himem_cgpa_cycles".into(), num(self.climb.baseline_cycles())));
+        run_fields(&mut m, "himem_tuned", &self.climb.best);
+        m.push(("tuned_workers".into(), num(self.climb.profile.workers.into())));
+        m.push(("tuned_fifo_depth_beats".into(), num(self.climb.profile.fifo_depth_beats as u64)));
         m.push(("dse_recommended".into(), rec.map_or(Json::Null, |o| Json::Str(o.point.label()))));
         m.push(("dse_recommended_cycles".into(), rec.map_or(Json::Null, |o| num(o.cycles))));
         let frontier = self.dse.frontier.iter().map(|o| Json::Str(o.point.label())).collect();

@@ -31,13 +31,16 @@ fn ledger_equals_the_committed_baseline() {
     for e in &entries {
         let (r, name) = (&e.report, &e.report.name);
         assert!(r.legup.cycles > r.cgpa_p1.cycles, "{name}: LegUp must be slower than CGPA P1");
-        assert!(e.tuned.best.cycles <= e.tuned.baseline_cycles, "{name}: tuning made it slower");
+        assert!(
+            e.climb.best.cycles <= e.climb.baseline_cycles(),
+            "{name}: the walk made it slower"
+        );
         let rec = e.dse.recommended.as_ref().expect("a DSE recommendation");
         assert!(rec.alut <= DEFAULT_AREA_BUDGET_ALUT, "{name}: recommendation exceeds the budget");
     }
     assert!(
-        entries.iter().any(|e| e.tuned.best.cycles < e.tuned.baseline_cycles),
-        "the tuner helps on no kernel"
+        entries.iter().any(|e| e.climb.best.cycles < e.climb.baseline_cycles()),
+        "the walk helps on no kernel"
     );
 }
 

@@ -1,27 +1,26 @@
-//! Parallel design-space exploration over the CGPA configuration lattice.
+//! Design-space search over the CGPA configuration lattice ([`DseLattice`]:
+//! parallel-stage workers, FIFO depth, cache geometry, P1/P2 placement)
+//! around the paper's one design point per kernel. Two searches share one
+//! evaluator (a precompiled [`Design::Compiled`] through the run path of
+//! [`crate::flows::run`]), a content-hash [`CompileCache`] and one
+//! functional reference per call:
 //!
-//! The paper's partitioner picks one design point and the profile-guided
-//! tuner ([`crate::flows::run_cgpa_tuned_auto`]) climbs one knob at a time —
-//! both can stop at local minima and neither sees the area/power models.
-//! This module enumerates a configuration lattice per kernel (parallel-stage
-//! workers, FIFO depth, cache geometry, P1/P2 placement), evaluates every
-//! point with a scoped-thread fan-out, and scores each on three objectives
-//! at once: simulated **cycles**, estimated **ALUTs**, and modelled
-//! **power**. Points sharing a compiled design (same kernel IR, same
-//! [`CgpaConfig`]) pay for compilation once via a content-hash
-//! [`CompileCache`]. The result is the 3-objective Pareto frontier plus a
-//! recommended point under an area budget (the DE4/Stratix IV envelope of
-//! the paper's evaluation, [`DE4_ALUT_BUDGET`]). The entry point is
-//! [`crate::flows::run_cgpa_dse`]; every point runs through the one run
-//! path of [`crate::flows::run`] as a precompiled
-//! [`Design::Compiled`].
-//!
-//! By construction the default lattice is a superset of the tuner's
-//! reachable configurations, so the explorer's best-cycles point matches or
-//! beats the tuner on every kernel (locked in by `tests/dse.rs`).
+//! - the explorer ([`crate::flows::run_cgpa_dse`]) evaluates every point
+//!   concurrently and reports the (cycles, ALUTs, power) Pareto frontier
+//!   plus a recommended point under an area budget (the DE4/Stratix IV
+//!   envelope of the paper's evaluation, [`DE4_ALUT_BUDGET`]);
+//! - the bottleneck walk ([`climb`]) raises, one axis value at a time, the
+//!   axis its run's [`Profile`] verdict indicts. It can stop at a local
+//!   minimum, but runs a handful of points, and its per-step verdicts
+//!   record why each step was taken. Its steps are points of the default
+//!   lattice, evaluated bit-equal to the explorer's (`tests/dse.rs`).
 
 use crate::compiler::{CgpaCompiler, CgpaConfig, CompileError, Compiled};
-use crate::flows::{reference, run_with, Design, FlowError, HwTuning, RunSpec};
+use crate::flows::{
+    reference, run_with, Design, FlowError, HwTuning, Reference, Run, RunResult, RunSpec,
+};
+use crate::profile::{Bottleneck, Profile};
+use cgpa_analysis::MemoryModel;
 use cgpa_ir::printer::print_function;
 use cgpa_ir::Function;
 use cgpa_kernels::BuiltKernel;
@@ -85,9 +84,9 @@ pub struct DseLattice {
 }
 
 impl Default for DseLattice {
-    /// The full lattice: a strict superset of the hill-climb tuner's
-    /// reachable configurations (the tuner doubles workers up to 16 and
-    /// FIFO depth from 16 up to 256), plus the P2 placement axis.
+    /// The full lattice, and the one [`climb`] walks: workers and FIFO
+    /// depth in powers of two (1–16 workers, 16–256 beats) under both
+    /// placements.
     fn default() -> Self {
         DseLattice {
             workers: vec![1, 2, 4, 8, 16],
@@ -139,6 +138,39 @@ impl DseLattice {
         }
         out
     }
+
+    /// The point after `p` that `profile`'s verdict calls for: the next
+    /// worker count up for a saturated parallel stage, or for a
+    /// latency-bound memory port when a parallel stage exists (more ports,
+    /// more misses in flight); the next FIFO depth up for a full queue.
+    /// `None` at an axis end or when no axis addresses the verdict (a
+    /// sequential stage, conflict-bound memory, or a stage the profile does
+    /// not carry).
+    fn next_point(&self, profile: &Profile, p: DsePoint) -> Option<DsePoint> {
+        let more_workers = || Some(DsePoint { workers: next_up(&self.workers, p.workers)?, ..p });
+        match &profile.bottleneck {
+            Bottleneck::QueueFull { .. } => Some(DsePoint {
+                fifo_depth_beats: next_up(&self.fifo_depths, p.fifo_depth_beats)?,
+                ..p
+            }),
+            Bottleneck::Stage { stage, .. }
+                if profile.stage(*stage).is_some_and(|s| s.parallel) =>
+            {
+                more_workers()
+            }
+            Bottleneck::MemoryPort { latency_bound: true, .. }
+                if profile.stages.iter().any(|s| s.parallel) =>
+            {
+                more_workers()
+            }
+            _ => None,
+        }
+    }
+}
+
+/// The smallest value on `axis` above `v`.
+fn next_up<T: Ord + Copy>(axis: &[T], v: T) -> Option<T> {
+    axis.iter().copied().filter(|&a| a > v).min()
 }
 
 /// One candidate configuration.
@@ -154,6 +186,21 @@ pub struct DsePoint {
     pub cache_lines: u32,
     /// D-cache banks; `None` = one port per worker (clamped to 8).
     pub cache_banks: Option<u32>,
+}
+
+impl Default for DsePoint {
+    /// The paper's design point: [`CgpaConfig::default`] under
+    /// [`HwTuning::default`] (P1, 4 workers, 16-beat FIFOs).
+    fn default() -> Self {
+        let (c, t) = (CgpaConfig::default(), HwTuning::default());
+        DsePoint {
+            workers: c.workers,
+            placement: c.placement,
+            fifo_depth_beats: t.fifo_depth_beats,
+            cache_lines: t.cache_lines,
+            cache_banks: t.cache_banks,
+        }
+    }
 }
 
 impl DsePoint {
@@ -241,11 +288,11 @@ pub struct CompileCacheStats {
 }
 
 /// Content-addressed compile memoization: designs are keyed on a hash of
-/// the kernel's printed IR text plus every [`CgpaConfig`] field that feeds
-/// the compiler, so the N simulation configs sharing one compiled design
-/// pay for compilation once — and a second exploration over the same
-/// kernels compiles nothing at all. Shareable across threads; cached
-/// designs come back as [`Arc<Compiled>`].
+/// everything the compiler reads (the kernel's printed IR text, its
+/// [`MemoryModel`] and every [`CgpaConfig`] field), so the N simulation
+/// configs sharing one compiled design pay for compilation once — and a
+/// second search over the same kernels compiles nothing at all. Shareable
+/// across threads; cached designs come back as [`Arc<Compiled>`].
 #[derive(Debug, Default)]
 pub struct CompileCache {
     entries: Mutex<HashMap<u64, Arc<Compiled>>>,
@@ -260,13 +307,14 @@ impl CompileCache {
         CompileCache::default()
     }
 
-    /// The content hash for (kernel IR, compiler config). The IR is keyed
-    /// by its printed text — the printer is stable and covers everything
-    /// the compiler reads; floats are hashed by bit pattern.
+    /// The content hash for (kernel IR, memory model, compiler config). The
+    /// IR is keyed by its printed text — the printer is stable and covers
+    /// everything the compiler reads; floats are hashed by bit pattern.
     #[must_use]
-    pub fn key(func: &Function, config: &CgpaConfig) -> u64 {
+    pub fn key(func: &Function, model: &MemoryModel, config: &CgpaConfig) -> u64 {
         let mut h = DefaultHasher::new();
         print_function(func).hash(&mut h);
+        model.hash(&mut h);
         config.workers.hash(&mut h);
         matches!(config.placement, ReplicablePlacement::Replicated).hash(&mut h);
         config.partition.feeder_weight_limit.to_bits().hash(&mut h);
@@ -275,7 +323,8 @@ impl CompileCache {
         h.finish()
     }
 
-    /// The cached design for (`func`, `config`), compiling on a miss.
+    /// The cached design for (`func`, `model`, `config`), compiling on a
+    /// miss.
     ///
     /// Compiles are deterministic, so on a concurrent same-key miss either
     /// thread's design is interchangeable; the first insert wins.
@@ -285,10 +334,10 @@ impl CompileCache {
     pub fn get_or_compile(
         &self,
         func: &Function,
-        model: &cgpa_analysis::MemoryModel,
+        model: &MemoryModel,
         config: CgpaConfig,
     ) -> Result<Arc<Compiled>, CompileError> {
-        let key = Self::key(func, &config);
+        let key = Self::key(func, model, &config);
         if let Some(hit) = self.entries.lock().expect("cache lock").get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(Arc::clone(hit));
@@ -392,23 +441,8 @@ fn outcome_of(point: DsePoint, r: &crate::flows::RunResult) -> DseOutcome {
     }
 }
 
-/// Explore `lattice` for kernel `k`: compile each distinct configuration
-/// once through `cache`, simulate every point concurrently, and report the
-/// 3-objective Pareto frontier plus a recommendation under
-/// `area_budget_alut`. Partition heuristics are the defaults; miss latency
-/// and simulation engine come from `env`.
-///
-/// Points with invalid cache geometry (a zero on a sweep axis) are
-/// rejected up front via [`CacheConfig::validate`] and recorded in
-/// [`DseReport::skipped`]. Every simulated point is verified in full
-/// against the kernel's functional reference, which is computed once per
-/// exploration.
-///
-/// # Errors
-/// [`FlowError`] when *no* lattice point is feasible, and
-/// [`FlowError::Interp`] when the reference cannot be computed; per-point
-/// failures (compile or simulate) are recorded in [`DseReport::skipped`]
-/// instead.
+/// [`crate::flows::run_cgpa_dse`], which documents it. Points with invalid
+/// cache geometry are rejected up front by [`CacheConfig::validate`].
 pub(crate) fn explore(
     k: &BuiltKernel,
     lattice: &DseLattice,
@@ -447,12 +481,10 @@ pub(crate) fn explore(
     });
 
     // Phase 2: simulate every (point, design) pair.
-    let mut sims: Vec<(DsePoint, CgpaConfig, Arc<Compiled>)> = Vec::new();
-    for ((cfg, ps), c) in groups.iter().zip(compiled) {
+    let mut sims: Vec<(DsePoint, Arc<Compiled>)> = Vec::new();
+    for ((_, ps), c) in groups.iter().zip(compiled) {
         match c {
-            Ok(design) => {
-                sims.extend(ps.iter().map(|&p| (p, *cfg, Arc::clone(&design))));
-            }
+            Ok(design) => sims.extend(ps.iter().map(|&p| (p, Arc::clone(&design)))),
             Err(e) => skipped.extend(ps.iter().map(|&p| (p, format!("compile: {e}")))),
         }
     }
@@ -461,17 +493,14 @@ pub(crate) fn explore(
         Vec::new()
     } else {
         let reference = reference(k)?;
-        par_map(&sims, |(p, cfg, design)| {
-            let design = Design::Compiled(design);
-            let tuning = p.tuning(&env);
-            let spec = RunSpec { config: *cfg, tuning, design, ..RunSpec::default() };
-            run_with(k, &spec, &reference)
+        par_map(&sims, |(p, design)| {
+            run_point(k, *p, design, env, &reference)
                 .map(|run| outcome_of(*p, &run.result))
                 .map_err(|e| e.to_string())
         })
     };
     let mut evaluated: Vec<DseOutcome> = Vec::new();
-    for ((p, _, _), r) in sims.iter().zip(runs) {
+    for ((p, _), r) in sims.iter().zip(runs) {
         match r {
             Ok(o) => evaluated.push(o),
             Err(e) => skipped.push((*p, format!("simulate: {e}"))),
@@ -508,6 +537,87 @@ pub(crate) fn explore(
     })
 }
 
+/// Run point `p` on its compiled `design` and verify the run against
+/// `reference`: the one evaluator of [`explore`] and [`climb`].
+fn run_point(
+    k: &BuiltKernel,
+    p: DsePoint,
+    design: &Compiled,
+    env: HwTuning,
+    reference: &Reference,
+) -> Result<Run, FlowError> {
+    let spec = RunSpec {
+        config: p.config(&CgpaConfig::default()),
+        tuning: p.tuning(&env),
+        design: Design::Compiled(design),
+        ..RunSpec::default()
+    };
+    run_with(k, &spec, reference)
+}
+
+/// A [`climb`] stops at the first step that gains less than this fraction.
+const CLIMB_MIN_GAIN: f64 = 0.02;
+
+/// What a [`climb`] evaluated, and the best run it found.
+#[derive(Debug, Clone)]
+pub struct Climb {
+    /// Every point evaluated, in order, with its run's bottleneck verdict
+    /// ([`Profile::bottleneck_summary`]). The first is the start point;
+    /// each later one raises the axis its predecessor's verdict indicts.
+    pub steps: Vec<(DseOutcome, String)>,
+    /// The best run: the last step that improved on its predecessor by at
+    /// least 2% (or the start point).
+    pub best: RunResult,
+    /// The best run's profile.
+    pub profile: Profile,
+}
+
+impl Climb {
+    /// Cycles of the start point.
+    #[must_use]
+    pub fn baseline_cycles(&self) -> u64 {
+        self.steps.first().map_or(self.best.cycles, |(o, _)| o.cycles)
+    }
+}
+
+/// Bottleneck walk over [`DseLattice::default`] from `start`: run a point,
+/// then move one value up the axis its profile's verdict indicts (workers
+/// or FIFO depth), until a step gains less than 2%, no axis addresses the
+/// verdict, or the axis ends. Each step raises one axis of a finite
+/// lattice, so the walk is finite. Compiles go through `cache`; miss
+/// latency and engine come from `env`; every run is verified against one
+/// reference per walk.
+///
+/// # Errors
+/// [`FlowError`] from the first point that fails to compile, simulate or
+/// verify, and [`FlowError::Interp`] when the reference cannot be computed.
+pub fn climb(
+    k: &BuiltKernel,
+    start: DsePoint,
+    env: HwTuning,
+    cache: &CompileCache,
+) -> Result<Climb, FlowError> {
+    let reference = reference(k)?;
+    let lattice = DseLattice::default();
+    let mut steps = Vec::new();
+    let mut best: Option<(RunResult, Profile)> = None;
+    let mut next = Some(start);
+    while let Some(p) = next {
+        let design = cache.get_or_compile(&k.func, &k.model, p.config(&CgpaConfig::default()))?;
+        let run = run_point(k, p, &design, env, &reference)?;
+        let profile = run.profile.expect("pipeline runs are profiled");
+        steps.push((outcome_of(p, &run.result), profile.bottleneck_summary()));
+        let floor = |b: &RunResult| b.cycles as f64 * (1.0 - CLIMB_MIN_GAIN);
+        if best.as_ref().is_some_and(|(b, _)| run.result.cycles as f64 >= floor(b)) {
+            break;
+        }
+        next = lattice.next_point(&profile, p);
+        best = Some((run.result, profile));
+    }
+    let (best, profile) = best.expect("the start point is always accepted");
+    Ok(Climb { steps, best, profile })
+}
+
 /// The default area budget: the DE4's Stratix IV envelope.
 pub const DEFAULT_AREA_BUDGET_ALUT: u32 = DE4_ALUT_BUDGET;
 
@@ -517,13 +627,7 @@ mod tests {
 
     fn o(cycles: u64, alut: u32, power_mw: f64) -> DseOutcome {
         DseOutcome {
-            point: DsePoint {
-                workers: 1,
-                placement: ReplicablePlacement::Pipelined,
-                fifo_depth_beats: 16,
-                cache_lines: 512,
-                cache_banks: None,
-            },
+            point: DsePoint { workers: 1, ..DsePoint::default() },
             cycles,
             alut,
             power_mw,
@@ -547,22 +651,120 @@ mod tests {
         assert!(f.iter().all(|p| p.cycles != 25));
     }
 
+    /// A hand-built profile limited by `bottleneck`, carrying a sequential
+    /// stage 0 and, when `parallel`, a parallel stage 1 — the shape of a
+    /// profile deserialized from disk or assembled against another compile.
+    fn profile(parallel: bool, bottleneck: Bottleneck) -> Profile {
+        use crate::profile::{MemoryProfile, StageProfile};
+        let stage = |idx: usize, parallel: bool| StageProfile {
+            stage: idx,
+            name: format!("k_stage{idx}"),
+            parallel,
+            workers: if parallel { 4 } else { 1 },
+            busy: 900,
+            stall_mem_read: 0,
+            stall_mem_write: 0,
+            stall_push: 0,
+            stall_pop: 0,
+            idle: 100,
+            utilization: 0.9,
+        };
+        let mut stages = vec![stage(0, false)];
+        if parallel {
+            stages.push(stage(1, true));
+        }
+        Profile {
+            kernel: "k".to_string(),
+            config: "CGPA(P1)".to_string(),
+            shape: "S-P".to_string(),
+            workers: 4,
+            fifo_depth_beats: 16,
+            cycles: 1000,
+            stages,
+            queues: Vec::new(),
+            memory: MemoryProfile {
+                ports: 5,
+                accesses: 100,
+                hits: 90,
+                misses: 10,
+                conflict_cycles: 0,
+                read_stall_cycles: 0,
+                write_stall_cycles: 0,
+                stall_fraction: 0.0,
+            },
+            bottleneck,
+        }
+    }
+
+    fn stage(stage: usize) -> Bottleneck {
+        Bottleneck::Stage { stage, utilization: 0.99 }
+    }
+
+    fn next(profile: &Profile, p: DsePoint) -> Option<DsePoint> {
+        DseLattice::default().next_point(profile, p)
+    }
+
     #[test]
-    fn default_lattice_covers_the_tuner_grid() {
-        // The hill-climb tuner doubles workers up to 16 and FIFO depth from
-        // 16 up to 256: every state it can reach must be a lattice point,
-        // otherwise "explorer ≥ tuner" would not hold by construction.
-        let l = DseLattice::default();
-        let mut w = 4u32; // tuner default start
-        while w <= 16 {
-            assert!(l.workers.contains(&w), "workers {w}");
-            w *= 2;
-        }
-        let mut d = 16usize;
-        while d <= 256 {
-            assert!(l.fifo_depths.contains(&d), "fifo {d}");
-            d *= 2;
-        }
+    fn walk_stops_at_a_stage_it_cannot_scale() {
+        let p = DsePoint::default();
+        // A verdict naming a stage the profile does not carry stops the
+        // walk instead of panicking; its summary names only the index.
+        let absent = profile(true, stage(7));
+        assert!(absent.stage(7).is_none());
+        assert_eq!(next(&absent, p), None);
+        assert!(absent.bottleneck_summary().contains("not in profile"));
+        // A sequential stage cannot be scaled.
+        assert_eq!(next(&profile(true, stage(0)), p), None);
+    }
+
+    #[test]
+    fn walk_scales_a_saturated_parallel_stage_to_the_next_worker_value() {
+        let p = DsePoint::default();
+        let saturated = profile(true, stage(1));
+        assert_eq!(next(&saturated, p), Some(DsePoint { workers: 8, ..p }));
+        assert_eq!(
+            next(&saturated, DsePoint { workers: 3, ..p }),
+            Some(DsePoint { workers: 4, ..p })
+        );
+        assert_eq!(next(&saturated, DsePoint { workers: 16, ..p }), None);
+    }
+
+    #[test]
+    fn walk_deepens_a_full_queue_up_to_256_beats() {
+        let p = DsePoint::default();
+        let full = profile(true, Bottleneck::QueueFull { queue: 0, full_fraction: 0.9 });
+        assert_eq!(next(&full, p), Some(DsePoint { fifo_depth_beats: 32, ..p }));
+        assert_eq!(next(&full, DsePoint { fifo_depth_beats: 256, ..p }), None);
+    }
+
+    #[test]
+    fn walk_scales_a_latency_bound_port_only_through_a_parallel_stage() {
+        let p = DsePoint::default();
+        let latency = Bottleneck::MemoryPort { stall_fraction: 0.8, latency_bound: true };
+        assert_eq!(next(&profile(false, latency.clone()), p), None);
+        assert_eq!(next(&profile(true, latency), p), Some(DsePoint { workers: 8, ..p }));
+        // More workers make bank conflicts worse.
+        let conflicts = Bottleneck::MemoryPort { stall_fraction: 0.8, latency_bound: false };
+        assert_eq!(next(&profile(true, conflicts), p), None);
+    }
+
+    #[test]
+    fn climb_improves_a_memory_latency_dominated_config() {
+        let k = cgpa_kernels::em3d::build(&cgpa_kernels::em3d::Params::fixed(60, 60, 4, 16), 5);
+        // Two cache lines + 400-cycle misses: every access essentially goes
+        // to DRAM, so the profile indicts the memory port and the walk
+        // scales workers to get more misses in flight.
+        let himem = HwTuning { miss_latency: 400, cache_lines: 2, ..HwTuning::default() };
+        let start = DsePoint { workers: 2, cache_lines: 2, ..DsePoint::default() };
+        let c = climb(&k, start, himem, &CompileCache::new()).unwrap();
+        assert!(
+            c.best.cycles < c.baseline_cycles(),
+            "the walk found nothing: baseline {} vs best {}",
+            c.baseline_cycles(),
+            c.best.cycles
+        );
+        assert!(c.steps.len() >= 2);
+        assert_eq!(c.steps[0].0.point, start);
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //!   [`FlowError::Interp`] with the message `"<kernel> reference: …"`;
 //! - a reference that panicked is resumed in the caller.
 //!
-//! [`run_cgpa_tuned_auto`] and [`run_cgpa_dse`] verify many runs of one
+//! [`run_cgpa_dse`] and [`crate::dse::climb`] verify many runs of one
 //! kernel, so they compute the reference once, up front, and compare every
 //! run with it.
 
@@ -34,7 +34,7 @@ use crate::compiler::{
     CgpaCompiler, CgpaConfig, CompileError, Compiled, DegradationPolicy, DegradationRung,
     DegradedCompile,
 };
-use crate::profile::{Bottleneck, Profile};
+use crate::profile::Profile;
 use cgpa_kernels::BuiltKernel;
 use cgpa_obs::{Recorder, Track};
 use cgpa_pipeline::{ReplicablePlacement, StageKind};
@@ -140,8 +140,8 @@ pub struct HwTuning {
     /// Cache miss latency in cycles.
     pub miss_latency: u32,
     /// D-cache lines (shrinking this below the working set makes a run
-    /// memory-latency-dominated — the regime the profile-guided tuner is
-    /// exercised in).
+    /// memory-latency-dominated — the regime the bottleneck walk
+    /// [`crate::dse::climb`] is exercised in).
     pub cache_lines: u32,
     /// D-cache banks (ports). `None` derives one port per worker, clamped
     /// to the 8-port cache of §4.1 — the paper's configuration, and one
@@ -495,146 +495,6 @@ fn finish(
     }
 }
 
-/// Marginal-speedup threshold of [`run_cgpa_tuned_auto`]: stop when a step
-/// improves cycles by less than 2%.
-const TUNE_MIN_GAIN: f64 = 0.02;
-/// Iteration cap for the tuner (each step doubles one knob, so 6 steps
-/// already cover a 64× range).
-const TUNE_MAX_ITERS: usize = 6;
-/// Parallel-stage worker ceiling (power of two; 8 cache ports of §4.1 plus
-/// one doubling of headroom).
-const TUNE_MAX_WORKERS: u32 = 16;
-/// FIFO depth ceiling in beats per channel.
-const TUNE_MAX_FIFO_DEPTH: usize = 256;
-
-/// One compile→run→profile iteration of the tuner.
-#[derive(Debug, Clone)]
-pub struct TuneStep {
-    /// Parallel-stage worker count of this step.
-    pub workers: u32,
-    /// FIFO depth of this step.
-    pub fifo_depth_beats: usize,
-    /// Measured kernel cycles.
-    pub cycles: u64,
-    /// This step's bottleneck verdict.
-    pub bottleneck: String,
-    /// Whether the step improved on the best-so-far by at least the
-    /// threshold (the first step is always accepted as the baseline).
-    pub accepted: bool,
-}
-
-/// The tuner's final configuration and its search trace.
-#[derive(Debug, Clone)]
-pub struct TuneOutcome {
-    /// Best run found.
-    pub best: RunResult,
-    /// The best run's profile.
-    pub profile: Profile,
-    /// Cycles of the starting configuration (the un-tuned baseline).
-    pub baseline_cycles: u64,
-    /// Every step tried, in order.
-    pub steps: Vec<TuneStep>,
-}
-
-impl TuneOutcome {
-    /// Baseline cycles over best cycles (1.0 = the tuner found nothing).
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
-        self.baseline_cycles as f64 / self.best.cycles as f64
-    }
-}
-
-/// The knob adjustment a profile's bottleneck verdict calls for: double
-/// parallel-stage workers for a saturated parallel stage or a latency-bound
-/// memory port, double FIFO depth for a full queue. `None` means no knob
-/// addresses the verdict — a saturated sequential stage, conflict-bound
-/// memory, a knob at its cap, or (the degenerate case) a verdict naming a
-/// stage this profile does not carry (stats from another compile, a
-/// deserialized profile) — and the tuner stops with its best-so-far outcome
-/// instead of panicking.
-fn next_tune_step(
-    profile: &Profile,
-    mut config: CgpaConfig,
-    mut tuning: HwTuning,
-) -> Option<(CgpaConfig, HwTuning)> {
-    let has_parallel_stage = profile.stages.iter().any(|s| s.parallel);
-    match &profile.bottleneck {
-        Bottleneck::QueueFull { .. } if tuning.fifo_depth_beats < TUNE_MAX_FIFO_DEPTH => {
-            tuning.fifo_depth_beats *= 2;
-            Some((config, tuning))
-        }
-        Bottleneck::Stage { stage, .. } => match profile.stage(*stage) {
-            Some(s) if s.parallel && config.workers < TUNE_MAX_WORKERS => {
-                config.workers *= 2; // stays a power of two
-                Some((config, tuning))
-            }
-            // A sequential stage cannot be scaled; an absent stage cannot
-            // even be classified.
-            _ => None,
-        },
-        Bottleneck::MemoryPort { latency_bound: true, .. }
-            if has_parallel_stage && config.workers < TUNE_MAX_WORKERS =>
-        {
-            // More workers = more ports = more misses in flight.
-            config.workers *= 2;
-            Some((config, tuning))
-        }
-        _ => None, // conflict-bound memory, or every knob at its cap
-    }
-}
-
-/// Profile-guided auto-tuner: iterate compile→run→profile, doubling the
-/// knob the bottleneck verdict indicts until a step improves cycles by
-/// less than 2% or the bottleneck is one no knob addresses.
-///
-/// # Errors
-/// See [`FlowError`]. Every candidate run is verified in full against the
-/// functional reference, which is computed once per tuning.
-pub fn run_cgpa_tuned_auto(
-    k: &BuiltKernel,
-    mut config: CgpaConfig,
-    mut tuning: HwTuning,
-) -> Result<TuneOutcome, FlowError> {
-    let reference = reference(k)?;
-    let mut steps: Vec<TuneStep> = Vec::new();
-    let mut best: Option<(RunResult, Profile)> = None;
-    let mut baseline_cycles = 0u64;
-    for _ in 0..TUNE_MAX_ITERS {
-        let run = run_with(k, &RunSpec { config, tuning, ..RunSpec::default() }, &reference)?;
-        let profile = run.profile.expect("pipeline runs are profiled");
-        let cycles = run.result.cycles;
-        let accepted = match &best {
-            None => {
-                baseline_cycles = cycles;
-                true
-            }
-            Some((b, _)) => (cycles as f64) < b.cycles as f64 * (1.0 - TUNE_MIN_GAIN),
-        };
-        steps.push(TuneStep {
-            workers: config.workers,
-            fifo_depth_beats: tuning.fifo_depth_beats,
-            cycles,
-            bottleneck: profile.bottleneck_summary(),
-            accepted,
-        });
-        if !accepted {
-            break; // marginal speedup below threshold: stop climbing
-        }
-        let next = next_tune_step(&profile, config, tuning);
-        best = Some((run.result, profile));
-        match next {
-            Some((c, t)) => {
-                config = c;
-                tuning = t;
-            }
-            None => break, // no knob addresses this bottleneck
-        }
-    }
-    let (best, profile) =
-        best.ok_or_else(|| FlowError::Interp("tuner completed no iteration".to_string()))?;
-    Ok(TuneOutcome { best, profile, baseline_cycles, steps })
-}
-
 /// Explore the design-space lattice for one kernel: compile each distinct
 /// configuration once (memoized through `cache`), simulate every lattice
 /// point concurrently, and report the (cycles, ALUTs, power) Pareto
@@ -744,90 +604,6 @@ mod tests {
         for w in &stats.workers {
             assert_eq!(w.total(), stats.cycles);
         }
-    }
-
-    #[test]
-    fn tuner_improves_a_memory_latency_dominated_config() {
-        let k = small_em3d();
-        // Two cache lines + 400-cycle misses: every access essentially goes
-        // to DRAM, so the profile indicts the memory port and the tuner
-        // scales workers to get more misses in flight.
-        let himem = HwTuning { miss_latency: 400, cache_lines: 2, ..HwTuning::default() };
-        let base = CgpaConfig { workers: 2, ..CgpaConfig::default() };
-        let outcome = run_cgpa_tuned_auto(&k, base, himem).unwrap();
-        assert!(
-            outcome.best.cycles < outcome.baseline_cycles,
-            "tuner found nothing: baseline {} vs best {}",
-            outcome.baseline_cycles,
-            outcome.best.cycles
-        );
-        assert!(outcome.steps.len() >= 2);
-        assert!(outcome.speedup() > 1.0);
-    }
-
-    /// A hand-built profile whose bottleneck verdict names stage
-    /// `bottleneck_stage`, while the profile itself only carries stages 0
-    /// and 1 (1 parallel) — the shape of a profile deserialized from disk
-    /// or assembled against a different compile.
-    fn profile_with_bottleneck_stage(bottleneck_stage: usize) -> Profile {
-        use crate::profile::{MemoryProfile, StageProfile};
-        let stage = |idx: usize, parallel: bool| StageProfile {
-            stage: idx,
-            name: format!("k_stage{idx}"),
-            parallel,
-            workers: if parallel { 4 } else { 1 },
-            busy: 900,
-            stall_mem_read: 0,
-            stall_mem_write: 0,
-            stall_push: 0,
-            stall_pop: 0,
-            idle: 100,
-            utilization: 0.9,
-        };
-        Profile {
-            kernel: "k".to_string(),
-            config: "CGPA(P1)".to_string(),
-            shape: "S-P".to_string(),
-            workers: 4,
-            fifo_depth_beats: 16,
-            cycles: 1000,
-            stages: vec![stage(0, false), stage(1, true)],
-            queues: Vec::new(),
-            memory: MemoryProfile {
-                ports: 5,
-                accesses: 100,
-                hits: 90,
-                misses: 10,
-                conflict_cycles: 0,
-                read_stall_cycles: 0,
-                write_stall_cycles: 0,
-                stall_fraction: 0.0,
-            },
-            bottleneck: Bottleneck::Stage { stage: bottleneck_stage, utilization: 0.99 },
-        }
-    }
-
-    #[test]
-    fn tune_step_stops_when_the_bottleneck_names_an_absent_stage() {
-        // Regression: this used to panic on `.expect("stage")` inside the
-        // tuner loop. An out-of-band verdict must stop the climb instead.
-        let p = profile_with_bottleneck_stage(7);
-        assert!(p.stage(7).is_none());
-        assert!(next_tune_step(&p, CgpaConfig::default(), HwTuning::default()).is_none());
-        // The summary degrades to an index-only description, same as PR 4's
-        // bottleneck_summary fix.
-        assert!(p.bottleneck_summary().contains("not in profile"));
-    }
-
-    #[test]
-    fn tune_step_scales_a_saturated_parallel_stage() {
-        let p = profile_with_bottleneck_stage(1); // the parallel stage
-        let (c, t) = next_tune_step(&p, CgpaConfig::default(), HwTuning::default()).unwrap();
-        assert_eq!(c.workers, CgpaConfig::default().workers * 2);
-        assert_eq!(t.fifo_depth_beats, HwTuning::default().fifo_depth_beats);
-        // A sequential bottleneck stage has no knob.
-        let p = profile_with_bottleneck_stage(0);
-        assert!(next_tune_step(&p, CgpaConfig::default(), HwTuning::default()).is_none());
     }
 
     #[test]

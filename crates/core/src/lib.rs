@@ -45,12 +45,12 @@ pub use compiler::{
     DegradedCompile,
 };
 pub use dse::{
-    dominates, par_map, pareto_frontier, schedule_hash, CompileCache, CompileCacheStats,
-    DseLattice, DseOutcome, DsePoint, DseReport, DEFAULT_AREA_BUDGET_ALUT,
+    climb, dominates, par_map, pareto_frontier, schedule_hash, Climb, CompileCache,
+    CompileCacheStats, DseLattice, DseOutcome, DsePoint, DseReport, DEFAULT_AREA_BUDGET_ALUT,
 };
 pub use flows::{
-    run, run_cgpa, run_cgpa_dse, run_cgpa_tuned, run_cgpa_tuned_auto, run_legup, run_legup_engine,
-    run_mips, Design, FlowError, HwTuning, Run, RunResult, RunSpec, TuneOutcome, TuneStep,
+    run, run_cgpa, run_cgpa_dse, run_cgpa_tuned, run_legup, run_legup_engine, run_mips, Design,
+    FlowError, HwTuning, Run, RunResult, RunSpec,
 };
 pub use profile::{Bottleneck, MemoryProfile, Profile, QueueProfile, StageProfile};
 pub use report::{geomean, pipeline_summary, BenchmarkReport};

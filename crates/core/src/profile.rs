@@ -6,8 +6,8 @@
 //! stage, a FIFO, or the memory port. A [`Profile`] makes that diagnosis
 //! explicit: per-stage utilization (busy cycles over worker-cycles),
 //! per-queue occupancy/wait statistics, memory-port pressure, and a single
-//! [`Bottleneck`] verdict that the profile-guided tuner
-//! ([`crate::flows::run_cgpa_tuned_auto`]) steers by. Every pipeline run of
+//! [`Bottleneck`] verdict that the bottleneck walk over the design-space
+//! lattice ([`crate::dse::climb`]) steers by. Every pipeline run of
 //! [`crate::flows::run`] returns its profile in
 //! [`Run::profile`](crate::flows::Run::profile).
 //!

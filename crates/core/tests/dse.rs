@@ -1,15 +1,16 @@
-//! Design-space explorer acceptance tests: the explorer must match or beat
-//! the hill-climb tuner on every kernel, memoization must be observable
-//! (warm re-runs compile strictly less) and bit-exact (same Verilog, same
-//! schedules), and the Pareto frontier must be exactly the non-dominated
-//! subset for arbitrary inputs.
+//! Design-space search acceptance tests: every step of the bottleneck walk
+//! must equal the explorer's evaluation of the same point, bit for bit, and
+//! the explorer must match or beat the walk on every kernel; memoization
+//! must be observable (warm re-runs compile strictly less) and bit-exact
+//! (same Verilog, same schedules); and the Pareto frontier must be exactly
+//! the non-dominated subset for arbitrary inputs.
 
 use cgpa::compiler::{CgpaCompiler, CgpaConfig};
 use cgpa::dse::{
-    dominates, pareto_frontier, schedule_hash, CompileCache, DseLattice, DseOutcome, DsePoint,
-    DEFAULT_AREA_BUDGET_ALUT,
+    climb, dominates, pareto_frontier, schedule_hash, CompileCache, DseLattice, DseOutcome,
+    DsePoint, DEFAULT_AREA_BUDGET_ALUT,
 };
-use cgpa::flows::{run, run_cgpa_dse, run_cgpa_tuned_auto, Design, HwTuning, RunSpec};
+use cgpa::flows::{run, run_cgpa_dse, Design, HwTuning, RunSpec};
 use cgpa_kernels::{em3d, gaussblur, hash_index, kmeans, ks, BuiltKernel};
 use cgpa_pipeline::ReplicablePlacement;
 use proptest::prelude::*;
@@ -28,40 +29,47 @@ fn suite() -> Vec<BuiltKernel> {
     ]
 }
 
-/// High-miss-latency regime: the tuner has real gradients to climb here,
-/// so beating it is not vacuous.
+/// High-miss-latency regime: the walk has real gradients to climb here,
+/// so matching it is not vacuous.
 fn himem() -> HwTuning {
     HwTuning { miss_latency: 400, cache_lines: 2, ..HwTuning::default() }
 }
 
-/// A P1-only lattice that is a superset of the tuner's reachable grid
-/// (the tuner starts at 4 workers / 16 beats and doubles one knob at a
-/// time, capped at 16 workers / 256 beats).
-fn tuner_superset_lattice() -> DseLattice {
-    DseLattice {
-        workers: vec![4, 8, 16],
-        fifo_depths: vec![16, 32, 64, 128, 256],
-        placements: vec![ReplicablePlacement::Pipelined],
-        ..DseLattice::default()
-    }
-}
-
 #[test]
-fn explorer_matches_or_beats_the_tuner_on_every_kernel() {
+fn explorer_matches_or_beats_the_climb_on_every_kernel() {
     let cache = CompileCache::new();
+    let start = DsePoint { cache_lines: himem().cache_lines, ..DsePoint::default() };
     for k in &suite() {
-        let tuned = run_cgpa_tuned_auto(k, CgpaConfig::default(), himem())
-            .unwrap_or_else(|e| panic!("{}: tuner failed: {e}", k.name));
         let report =
-            run_cgpa_dse(k, &tuner_superset_lattice(), himem(), DEFAULT_AREA_BUDGET_ALUT, &cache)
+            run_cgpa_dse(k, &DseLattice::default(), himem(), DEFAULT_AREA_BUDGET_ALUT, &cache)
                 .unwrap_or_else(|e| panic!("{}: explorer failed: {e}", k.name));
+        // The walk runs on the explorer's warm cache: it compiles nothing.
+        let compiles = cache.stats().compiles;
+        let walk = climb(k, start, himem(), &cache)
+            .unwrap_or_else(|e| panic!("{}: climb failed: {e}", k.name));
+        assert_eq!(cache.stats().compiles, compiles, "{}: the climb compiled", k.name);
+
+        // Every step is a lattice point the explorer evaluated, with the
+        // same outcome.
+        for (step, _) in &walk.steps {
+            let label = format!("{}: {}", k.name, step.point.label());
+            let o = report
+                .evaluated
+                .iter()
+                .find(|o| o.point == step.point)
+                .unwrap_or_else(|| panic!("{label}: climb step not explored"));
+            assert_eq!(o.cycles, step.cycles, "{label}");
+            assert_eq!(o.alut, step.alut, "{label}");
+            assert_eq!(o.power_mw.to_bits(), step.power_mw.to_bits(), "{label}");
+            assert_eq!(o.energy_uj.to_bits(), step.energy_uj.to_bits(), "{label}");
+        }
 
         let best = report.best_cycles().expect("non-empty frontier");
         assert!(
-            best <= tuned.best.cycles,
-            "{}: explorer best {best} cycles worse than tuner best {}",
+            best <= walk.best.cycles,
+            "{}: explorer best {best} cycles worse than climb best {}",
             k.name,
-            tuned.best.cycles
+            walk.best.cycles
         );
 
         // The frontier is drawn from the evaluated set and non-dominated
@@ -184,13 +192,7 @@ fn every_explored_point_equals_a_standalone_run() {
 
 fn outcome(cycles: u64, alut: u32, power: f64) -> DseOutcome {
     DseOutcome {
-        point: DsePoint {
-            workers: 1,
-            placement: ReplicablePlacement::Pipelined,
-            fifo_depth_beats: 16,
-            cache_lines: 512,
-            cache_banks: None,
-        },
+        point: DsePoint { workers: 1, ..DsePoint::default() },
         cycles,
         alut,
         power_mw: power,

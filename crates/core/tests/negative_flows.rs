@@ -101,17 +101,35 @@ fn lying_model() -> MemoryModel {
     mm
 }
 
-#[test]
-fn sound_annotations_reject_the_sequential_loop() {
-    // Honest model: `acc` is read-write, NOT distinct per iteration.
+/// The sound annotation of [`acc_loop`]: `acc` is read-write and NOT
+/// distinct per iteration.
+fn honest_model() -> MemoryModel {
     let mut mm = MemoryModel::new();
     let ra = mm.add_region("a", 4, true, false);
     let racc = mm.add_region("acc", 4, false, false);
     mm.bind_param(0, ra);
     mm.bind_param(1, racc);
-    let k = workload(acc_loop(), mm);
+    mm
+}
+
+#[test]
+fn sound_annotations_reject_the_sequential_loop() {
+    let k = workload(acc_loop(), honest_model());
     let err = CgpaCompiler::new(CgpaConfig::default()).compile(&k.func, &k.model).unwrap_err();
     assert!(matches!(err, CompileError::Partition(PartitionError::NoParallelWork)));
+}
+
+#[test]
+fn compile_cache_keys_on_the_memory_model() {
+    // The lying model pipelines the loop; the same IR under the honest
+    // model must not be served that design from the cache.
+    let cache = cgpa::dse::CompileCache::new();
+    let config = CgpaConfig::default();
+    cache.get_or_compile(&acc_loop(), &lying_model(), config).expect("the lie pipelines");
+    let err = cache.get_or_compile(&acc_loop(), &honest_model(), config).unwrap_err();
+    assert!(matches!(err, CompileError::Partition(PartitionError::NoParallelWork)), "{err}");
+    let stats = cache.stats();
+    assert_eq!((stats.compiles, stats.hits), (1, 0));
 }
 
 /// `for (i = 0; i < n; i++) { if (a[i] == 0) return 1; b[i] = a[i] * a[i]; }
@@ -374,7 +392,8 @@ fn malformed_functions_are_typed_interpreter_errors() {
 
 #[test]
 fn a_failing_reference_is_a_typed_flow_error() {
-    use cgpa::flows::{run_cgpa_dse, run_cgpa_tuned_auto, HwTuning};
+    use cgpa::dse::{climb, CompileCache, DseLattice, DsePoint};
+    use cgpa::flows::{run_cgpa_dse, HwTuning};
     use cgpa_sim::{HwError, InterpError};
 
     // The lying model lets the poisoned loop compile to a pipeline; the
@@ -393,11 +412,11 @@ fn a_failing_reference_is_a_typed_flow_error() {
     let err = run_cgpa(&skips, CgpaConfig::default()).unwrap_err();
     assert!(matches!(&err, FlowError::Interp(m) if m.starts_with("acc reference: ")), "{err}");
 
-    // The tuner and the explorer compute their one reference up front.
-    let err = run_cgpa_tuned_auto(&k, CgpaConfig::default(), HwTuning::default()).unwrap_err();
+    // The walk and the explorer compute their one reference up front.
+    let cache = CompileCache::new();
+    let err = climb(&k, DsePoint::default(), HwTuning::default(), &cache).unwrap_err();
     assert!(matches!(&err, FlowError::Interp(m) if m.contains("reference")), "{err}");
-    let lattice = cgpa::dse::DseLattice { workers: vec![1, 2], ..cgpa::dse::DseLattice::quick() };
-    let cache = cgpa::dse::CompileCache::new();
+    let lattice = DseLattice { workers: vec![1, 2], ..DseLattice::quick() };
     let err = run_cgpa_dse(&k, &lattice, HwTuning::default(), u32::MAX, &cache).unwrap_err();
     assert!(matches!(&err, FlowError::Interp(m) if m.contains("reference")), "{err}");
 }
